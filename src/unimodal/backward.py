@@ -54,15 +54,16 @@ class BackwardTree:
         rows = [r for r in self.levels[from_depth:] if len(r)]
         if not rows:
             return np.empty(0)
-        return np.unique(np.concatenate(rows))
+        pts = np.sort(np.concatenate(rows))
+        return pts[np.r_[True, pts[1:] != pts[:-1]]]
 
 
 def _thin(row: np.ndarray, cap: int) -> np.ndarray:
     # even subsample that always keeps both extremes
     if len(row) <= cap:
         return row
-    keep = np.unique(np.round(np.linspace(0, len(row) - 1, cap)).astype(np.int64))
-    return row[keep]
+    keep = np.round(np.linspace(0, len(row) - 1, cap)).astype(np.int64)
+    return row[keep[np.r_[True, keep[1:] != keep[:-1]]]]
 
 
 def build_backward_tree(m: PiecewiseMap, x: float, depth: int,

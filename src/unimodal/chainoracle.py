@@ -7,6 +7,12 @@ the chain-recurrent set, its classes, and the reachability order between
 them are read off the directed graph.  Strongly connected components come
 from scipy; everything else is plain array work.
 
+An eps ladder is validated and recorded, but only its finest rung is
+built: the window bounds are monotone in eps - h under IEEE rounding, so
+on a fixed grid each finer rung's windows nest inside every coarser
+rung's, and the finest recurrent set is the intersection over the ladder.
+`build_grid` and `recurrent_cells` stay public for inspecting one rung.
+
 Edge slack is eps - h: with fc the image of the center of cell i, cell j is
 admitted when |fc - center_j| <= eps - h, so every point of cell j sits
 strictly inside the eps-jump budget (within eps - h/2 of fc).  The cell
@@ -127,9 +133,11 @@ def _check_epsilons(n: int, epsilons: Sequence[float]):
 class ChainClasses:
     """Chain-recurrent cells partitioned into classes, shallowest first.
 
-    Classes are strong components of the finest graph (cells at most two
-    apart are glued), ordered by the maximum of f over their centers, which
-    on a tower runs from the boundary fixed class up to the attractor.
+    Classes are strong components of the finest graph (recurrent cells with
+    at most two cells between them are glued), ordered by the maximum of f
+    over their centers, which on a tower runs from the boundary fixed class
+    up to the attractor.  `epsilons` is the whole validated ladder; `graph`
+    is its finest rung, the only one built.
     """
 
     n: int
@@ -159,51 +167,40 @@ class ChainClasses:
 def chain_classes(m: PiecewiseMap, n: int, epsilons: Optional[Sequence[float]] = None) -> ChainClasses:
     """Chain-recurrent classes surviving every eps in a decreasing ladder.
 
-    Recurrence masks are intersected across the ladder; the partition and
-    the reachability graph come from the finest eps.
+    The ladder is validated and recorded, but only its finest rung is
+    built: its windows nest inside every coarser rung's, so its recurrent
+    set is the intersection over the ladder.  The partition and the
+    reachability graph come from that rung.
     """
     h = 1.0 / n
     if epsilons is None:
         epsilons = (32 * h, 8 * h, 2 * h)
     eps = _check_epsilons(n, epsilons)
-    rec_all = None
-    lab = None
-    fine = None
-    for e in eps:
-        fine = build_grid(m, n, e)
-        rec, lab = recurrent_cells(fine)
-        rec_all = rec if rec_all is None else rec_all & rec
-    cells = np.flatnonzero(rec_all)
+    fine = build_grid(m, n, eps[-1])
+    rec, lab = recurrent_cells(fine)
+    cells = np.flatnonzero(rec)
     if len(cells) == 0:
         raise ValueError("no chain-recurrent cells: the ladder is too fine for this grid")
 
-    parent = np.arange(int(cells[-1]) + 1, dtype=np.int64)
+    # Undirected graph on grid cells plus one node per strong component:
+    # each recurrent cell is tied to its component's node and to the next
+    # recurrent cell when they are at most three cells apart.
+    near = np.flatnonzero(np.diff(cells) <= 3)
+    rows = np.concatenate((cells, cells[near]))
+    cols = np.concatenate((n + lab[cells], cells[near + 1]))
+    size = n + int(lab.max()) + 1
+    link = csr_matrix((np.ones(len(rows), np.int8), (rows, cols)), shape=(size, size))
+    comp = connected_components(link, directed=False)[1][cells]
 
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    by_label = {}
-    for c in cells:
-        by_label.setdefault(int(lab[c]), []).append(int(c))
-    for group in by_label.values():
-        for c in group[1:]:
-            parent[find(c)] = find(group[0])
-    for a, b in zip(cells[:-1], cells[1:]):
-        if b - a <= 3:
-            parent[find(int(a))] = find(int(b))
-
-    groups = {}
-    for c in cells:
-        groups.setdefault(find(int(c)), []).append(int(c))
-    centers = (cells + 0.5) * h
-    fvals = dict(zip(cells.tolist(), m(centers).tolist()))
-    ordered = sorted(groups.values(), key=lambda cs: max(fvals[c] for c in cs))
-    classes = tuple(np.array(sorted(cs), dtype=np.int64) for cs in ordered)
+    # Group cells by class (ascending within each), then order classes by
+    # the maximum of f over their centers, ties by their first cell.
+    order = np.argsort(comp, kind="stable")
+    grouped = comp[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    members = cells[order]
+    tops = np.maximum.reduceat(m((members + 0.5) * h), starts)
+    groups = np.split(members, starts[1:])
+    classes = tuple(groups[i] for i in np.lexsort((members[starts], tops)))
     return ChainClasses(n, tuple(eps), classes, fine)
 
 
@@ -215,34 +212,29 @@ def conley_graph(cc: ChainClasses):
     genuine escape routes and orbits grazing past a repelling class.
     """
     g = cc.graph
-    in_class = np.full(g.n, -1, dtype=np.int64)
-    for i, cs in enumerate(cc.classes):
-        in_class[cs] = i
     edges = []
     for i, cs in enumerate(cc.classes):
-        near = np.unique(np.concatenate([cs - 2, cs - 1, cs + 1, cs + 2]))
-        near = near[(near >= 0) & (near < g.n)]
-        near = near[in_class[near] != i]
-        if len(near) == 0:
-            continue
         seen = np.zeros(g.n, bool)
-        seen[near] = True
-        frontier = near
+        for d in (-2, -1, 1, 2):
+            # a clipped index lands on cell 0 or n-1 only when that cell is
+            # itself in the class or genuinely near it
+            seen[np.clip(cs + d, 0, g.n - 1)] = True
+        seen[cs] = False
+        frontier = np.flatnonzero(seen)
         while len(frontier):
             lo, hi = g.jlo[frontier], g.jhi[frontier]
             counts = (hi - lo + 1).clip(min=0)
             total = int(counts.sum())
-            if total == 0:
-                break
             offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-            nxt = np.unique(np.repeat(lo, counts) + offs)
-            nxt = nxt[~seen[nxt]]
+            nxt = np.repeat(lo, counts) + offs
+            nxt = np.sort(nxt[~seen[nxt]])
+            nxt = nxt[np.diff(nxt, prepend=-1) != 0]
             seen[nxt] = True
             frontier = nxt
         for j in range(len(cc.classes)):
             if j != i and seen[cc.classes[j]].any():
                 edges.append((i, j))
-    return sorted(edges)
+    return edges
 
 
 def verify_tower(cc: ChainClasses, edges) -> bool:

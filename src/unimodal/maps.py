@@ -11,7 +11,6 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -305,25 +304,6 @@ class PiecewiseMap:
             if len(bad):
                 return ("violation", float(xs[bad[0]]))
         return ("ok", None)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        obj = {
-            "family": self.label.split(":")[0],
-            "parameter": self.label.split(":")[1] if ":" in self.label else None,
-            "branches": [
-                {
-                    "lo": b.domain.lo,
-                    "hi": b.domain.hi,
-                    "shape": b.shape[0],
-                    "coeffs": list(b.shape[1:]),
-                    "direction": "increasing" if b.direction > 0 else "decreasing",
-                }
-                for b in self.branches
-            ],
-        }
-        return json.dumps(obj)
 
     def __repr__(self):
         return f"PiecewiseMap({self.label}, {len(self.branches)} branches)"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,9 +30,6 @@ class Cycle:
     @property
     def repelling(self) -> bool:
         return abs(self.multiplier) > 1.0
-
-    def to_json(self) -> str:
-        return json.dumps({"period": self.period, "points": list(self.points), "multiplier": self.multiplier})
 
 
 def critical_orbit(m: PiecewiseMap, n: int):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimodal import (
+    ChainClasses,
     analytic_nodes,
     build_grid,
     chain_classes,
@@ -218,3 +219,115 @@ def test_analytic_sets_inside_oracle(s):
             for iv in nd.support():
                 for x in np.linspace(iv.lo, iv.hi, 9):
                     assert np.min(np.abs(centers - x)) <= h
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: every rung built, masks intersected, Python union-find
+# ---------------------------------------------------------------------------
+
+def reference_chain_classes(m, n, epsilons):
+    h = 1.0 / n
+    rec_all = None
+    for e in epsilons:
+        fine = build_grid(m, n, e)
+        rec, lab = recurrent_cells(fine)
+        rec_all = rec if rec_all is None else rec_all & rec
+    cells = np.flatnonzero(rec_all)
+    parent = np.arange(int(cells[-1]) + 1, dtype=np.int64)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    by_label = {}
+    for c in cells:
+        by_label.setdefault(int(lab[c]), []).append(int(c))
+    for group in by_label.values():
+        for c in group[1:]:
+            parent[find(c)] = find(group[0])
+    for a, b in zip(cells[:-1], cells[1:]):
+        if b - a <= 3:
+            parent[find(int(a))] = find(int(b))
+
+    groups = {}
+    for c in cells:
+        groups.setdefault(find(int(c)), []).append(int(c))
+    fvals = dict(zip(cells.tolist(), m((cells + 0.5) * h).tolist()))
+    ordered = sorted(groups.values(), key=lambda cs: max(fvals[c] for c in cs))
+    classes = tuple(np.array(sorted(cs), dtype=np.int64) for cs in ordered)
+    return ChainClasses(n, tuple(epsilons), classes, fine)
+
+
+def reference_conley_graph(cc):
+    g = cc.graph
+    in_class = np.full(g.n, -1, dtype=np.int64)
+    for i, cs in enumerate(cc.classes):
+        in_class[cs] = i
+    edges = []
+    for i, cs in enumerate(cc.classes):
+        near = np.unique(np.concatenate([cs - 2, cs - 1, cs + 1, cs + 2]))
+        near = near[(near >= 0) & (near < g.n)]
+        near = near[in_class[near] != i]
+        if len(near) == 0:
+            continue
+        seen = np.zeros(g.n, bool)
+        seen[near] = True
+        frontier = near
+        while len(frontier):
+            lo, hi = g.jlo[frontier], g.jhi[frontier]
+            counts = (hi - lo + 1).clip(min=0)
+            total = int(counts.sum())
+            if total == 0:
+                break
+            offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+            nxt = np.unique(np.repeat(lo, counts) + offs)
+            nxt = nxt[~seen[nxt]]
+            seen[nxt] = True
+            frontier = nxt
+        for j in range(len(cc.classes)):
+            if j != i and seen[cc.classes[j]].any():
+                edges.append((i, j))
+    return sorted(edges)
+
+
+@st.composite
+def _oracle_case(draw):
+    s = draw(st.floats(1.01, 2.0))
+    n = draw(st.sampled_from([2_000, 20_000]))
+    h = 1.0 / n
+    mults = draw(st.lists(st.floats(1.5, 64.0), min_size=1, max_size=4))
+    return s, n, sorted({k * h for k in mults}, reverse=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_oracle_case())
+def test_finest_rung_oracle_matches_reference(case):
+    """Building only the finest rung gives the ladder's classes and edges."""
+    s, n, eps = case
+    m = make_tent(s)
+    ref = reference_chain_classes(m, n, eps)
+    cc = chain_classes(m, n, eps)
+    assert cc.epsilons == ref.epsilons
+    assert len(cc.classes) == len(ref.classes)
+    for got, want in zip(cc.classes, ref.classes):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert conley_graph(cc) == reference_conley_graph(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(1.01, 2.0), n=st.integers(100, 50_000),
+       a=st.floats(1.5, 64.0), b=st.floats(1.5, 64.0))
+def test_windows_nest_as_eps_shrinks(s, n, a, b):
+    """The identity the finest-rung oracle rests on: a smaller eps gives
+    every cell a window inside the one a larger eps gives it."""
+    h = 1.0 / n
+    eps1, eps2 = max(a, b) * h, min(a, b) * h
+    m = make_tent(s)
+    coarse, fine = build_grid(m, n, eps1), build_grid(m, n, eps2)
+    assert np.all(coarse.jlo <= fine.jlo)
+    assert np.all(coarse.jhi >= fine.jhi)

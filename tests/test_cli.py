@@ -70,6 +70,13 @@ class TestVerify:
         assert "expansion" not in doc
         assert len(doc["salpha"]) == 2
 
+    def test_expansion_past_budget_fails_with_exit_1(self, capsys):
+        # just above sqrt(2) the cover time outruns the step budget
+        code, out, _ = run(["verify", "--s", "1.414214", "--n", "20000"], capsys)
+        assert code == 1
+        assert "FAIL expansion: core not covered within the budget of 37 steps" in out
+        assert "verification FAILED" in out
+
     def test_coarse_ladder_fails_with_exit_1(self, capsys):
         # eps = 64h swamps the band gap, so class supports cannot match
         code, out, _ = run(["verify", "--s", "1.4", "--n", "2000",
