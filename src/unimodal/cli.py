@@ -6,6 +6,12 @@ Subcommands:
   bifurcation  render an attractor diagram as a PGM with a CSV overlay
   salpha       compare estimated and predicted s-alpha sets of one point
 
+Attractor histograms (`bifurcation`, `band_count`, `three_band_window`)
+come from one vectorized pass over all parameter columns.  Every column
+starts from the same perturbed critical point, so a column does not depend
+on its neighbours: `band_count(p)` agrees with the scan at p, and a render
+is the same for a given seed whatever the core count.
+
 Exit status: 0 on success, 1 when a verification fails, 2 on usage errors.
 """
 
@@ -16,7 +22,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,13 +33,6 @@ from .orbits import critical_orbit
 from .structure import analytic_nodes, classify_attractor, tu_cycle, tu_nodes
 
 __all__ = ["main", "render_bifurcation", "band_count", "three_band_window"]
-
-
-def _threads() -> int:
-    raw = os.environ.get("UNIMODAL_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return min(4, os.cpu_count() or 1)
 
 
 def _build_map(args, parser) -> PiecewiseMap:
@@ -181,9 +179,10 @@ def _family_base(family: str):
 
 
 def _orbit_histogram(base, scales, transient, samples, bins, seed):
-    rng = np.random.default_rng(seed)
-    x = np.full(len(scales), base.critical) + rng.uniform(-1e-9, 1e-9, len(scales))
-    x = np.clip(x, 0.0, 1.0)
+    # One start for every column, the one a single-column call draws, so
+    # column j equals a call with scales[j] alone.
+    x0 = base.critical + np.random.default_rng(seed).uniform(-1e-9, 1e-9, 1)
+    x = np.repeat(np.clip(x0, 0.0, 1.0), len(scales))
     counts = np.zeros((bins, len(scales)), dtype=np.int64)
     cols = np.arange(len(scales))
     for _ in range(transient):
@@ -205,19 +204,7 @@ def render_bifurcation(family: str, lo: float, hi: float, columns: int,
     """
     base, to_scale = _family_base(family)
     params = np.linspace(lo, hi, columns)
-    scales = np.array([to_scale(p) for p in params])
-
-    nt = _threads()
-    chunks = np.array_split(np.arange(columns), min(nt, columns))
-    counts = np.zeros((bins, columns), dtype=np.int64)
-
-    def work(idx):
-        return idx, _orbit_histogram(base, scales[idx], transient, samples, bins, seed)
-
-    with ThreadPoolExecutor(max_workers=nt) as ex:
-        for idx, part in ex.map(work, chunks):
-            counts[:, idx] = part
-
+    counts = _orbit_histogram(base, to_scale(params), transient, samples, bins, seed)
     peak = counts.max(axis=0).clip(min=1)
     img = np.minimum((counts * 254.0 / peak).astype(np.uint8), 254)
     img = img[::-1, :]  # row 0 is the top of the unit interval
@@ -274,8 +261,12 @@ def band_count(family: str, param: float, transient: int = 3000,
     """
     base, to_scale = _family_base(family)
     counts = _orbit_histogram(base, np.array([to_scale(param)]),
-                              transient, samples, bins, seed)[:, 0]
-    occ = np.flatnonzero(counts > 0)
+                              transient, samples, bins, seed)
+    return _bands(counts[:, 0])
+
+
+def _bands(column):
+    occ = np.flatnonzero(column > 0)
     if len(occ) == 0:
         return 0, 0
     splits = np.count_nonzero(np.diff(occ) > 2)
@@ -289,10 +280,10 @@ def three_band_window(lo: float, hi: float, step: float = 5e-4,
     interval bands.  Returns (mu_lo, mu_hi) or None when 1 is not inside
     such a run."""
     mus = np.arange(lo, hi + step / 2, step)
-    good = np.array([
-        (lambda cb: cb[0] == 3 and cb[1] >= min_occupied)(band_count("tu", float(mu),
-                                                                     transient, samples, bins))
-        for mu in mus])
+    base, to_scale = _family_base("tu")
+    counts = _orbit_histogram(base, to_scale(mus), transient, samples, bins, seed=0)
+    good = [clusters == 3 and occupied >= min_occupied
+            for clusters, occupied in map(_bands, counts.T)]
     anchor = int(np.argmin(np.abs(mus - 1.0)))
     if not good[anchor]:
         return None

@@ -238,6 +238,9 @@ def analytic_nodes(s: float):
     N_0 is the repelling boundary fixed point, N_1 .. N_{p-1} the cascade of
     repelling 2^(k-1)-cycles, and N_p the attracting cycle of 2^(p-1) core
     intervals read off the critical orbit.
+
+    From depth 8 on a cascade cycle can sit closer to c than float64
+    resolves; such slopes raise a ValueError naming the depth.
     """
     p = node_depth(s)
     m = make_tent(s)
@@ -246,7 +249,14 @@ def analytic_nodes(s: float):
     nodes = [Node(0, "boundary_fixed", cycle=Cycle((0.0,), 1, s))]
     for k in range(1, p):
         x = _cascade_point(s, k)
-        nodes.append(Node(k, "repelling_cycle", cycle=make_cycle(m, x, 2 ** (k - 1))))
+        try:
+            cyc = make_cycle(m, x, 2 ** (k - 1))
+        except ValueError as err:
+            # the cycle lands within 1e-12 of c, where no slope can be read off
+            raise ValueError(
+                f"s={s!r} has tower depth {p}: its period-{2 ** (k - 1)} cascade cycle "
+                f"N_{k} lies below float64 resolution at c={m.critical}") from err
+        nodes.append(Node(k, "repelling_cycle", cycle=cyc))
     ivs = _attractor_intervals(m, 2 ** (p - 1))
     ivs = tuple(sorted(ivs, key=lambda iv: iv.lo))
     nodes.append(Node(p, "interval_cycle_attractor", intervals=ivs))

@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from unimodal.cli import band_count, main, render_bifurcation
+import unimodal
+from unimodal.cli import (_family_base, _orbit_histogram, band_count, main,
+                          render_bifurcation, three_band_window)
 
 
 def run(argv, capsys):
@@ -40,6 +45,12 @@ class TestNodes:
         code, _, err = run(["nodes", "--s", "2.5"], capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_tower_past_float64_exits_2(self, capsys):
+        code, _, err = run(["nodes", "--s", repr(2.0 ** (2.0 ** -7.5))], capsys)
+        assert code == 2
+        assert "tower depth 8" in err
+        assert "below float64 resolution at c=0.5" in err
 
     def test_missing_parameter_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -159,6 +170,13 @@ class TestBifurcation:
         assert any(overlay[j] for j in range(len(params)))
         assert (img == 255).any()
 
+    @pytest.mark.parametrize("family,lo,hi", [("tent", 1.3, 1.9), ("tu", 0.99, 1.005)])
+    def test_column_is_independent_of_its_neighbours(self, family, lo, hi):
+        img, params, _ = render_bifurcation(family, lo, hi, 16, 200, 200, 64, seed=3)
+        for j, p in enumerate(params):
+            one, _, _ = render_bifurcation(family, p, p, 1, 200, 200, 64, seed=3)
+            assert np.array_equal(img[:, j], one[:, 0])
+
 
 class TestBandCount:
     def test_three_bands_at_the_window_center(self):
@@ -176,9 +194,27 @@ class TestBandCount:
         assert bands == 2
         assert occupied <= 4
 
+    @pytest.mark.parametrize("family,params", [
+        ("tu", np.arange(0.99, 1.005, 1e-3)),
+        ("tent", np.linspace(1.1, 2.0, 7)),
+        ("logistic", np.linspace(3.2, 4.0, 7)),
+    ])
+    def test_scan_columns_equal_single_parameter_calls(self, family, params):
+        base, to_scale = _family_base(family)
+        counts = _orbit_histogram(base, to_scale(params), 200, 300, 100, 0)
+        for j, p in enumerate(params):
+            one = _orbit_histogram(base, np.array([to_scale(p)]), 200, 300, 100, 0)
+            assert np.array_equal(counts[:, j], one[:, 0])
+
+    def test_three_band_window_is_unchanged(self):
+        assert three_band_window(0.99, 1.005) == (0.9959999999999993, 1.0004999999999988)
+
 
 def test_installed_entry_point():
+    # the child imports the same package as this suite, installed or not
+    src = str(Path(unimodal.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "unimodal", "nodes", "--s", "2.0"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "tent:2.0" in proc.stdout

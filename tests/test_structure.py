@@ -98,6 +98,18 @@ class TestAnalyticNodes:
             for p in n.cycle.points:
                 assert m.iterate(p, n.cycle.period) == pytest.approx(p, abs=1e-10)
 
+    def test_depth_eight_past_float64_is_refused_by_name(self):
+        # the cascade cycle of s = 2^(2^-7.5) sits about 1e-15 from c
+        with pytest.raises(ValueError, match="tower depth 8: .* below float64 resolution at c=0.5"):
+            analytic_nodes(2.0 ** (2.0 ** -7.5))
+
+    def test_depth_eight_within_float64_still_works(self):
+        s = 2.0 ** (2.0 ** -7.0001)
+        assert node_depth(s) == 8
+        nodes = analytic_nodes(s)
+        assert len(nodes) == 9
+        assert nodes[7].cycle.period == 64
+
 
 class TestTrappingRegion:
     def test_fixed_point_region_is_whole_domain(self):
