@@ -15,8 +15,8 @@ from .structure import (CantorCover, CoreCollection, LevelPartition, Node,
                         renormalize, trapping_region, tu_cycle, tu_nodes)
 from .chainoracle import (ChainClasses, GridGraph, MatchReport, build_grid,
                           chain_classes, conley_graph, expansion_bound,
-                          expansion_time, match_nodes, oracle_report,
-                          recurrent_cells, verify_tower)
+                          expansion_time, match_nodes, recurrent_cells,
+                          verify_tower)
 from .backward import (BackwardTree, DenseOrbit, PredictedSAlpha, SAlphaEstimate,
                        build_backward_tree, compare_salpha, dense_backward_orbit,
                        predicted_salpha, salpha)

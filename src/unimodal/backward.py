@@ -10,7 +10,9 @@ escaping strip above c_1 die there and leave points near the endpoint at
 every depth, and branches passing through [0, c_2) scatter transient points
 across the whole strip.  Neither kind is recurrent, so each candidate is
 kept only if a small interval around it returns over itself within a few
-forward steps; survivors are then clustered into intervals.
+forward steps; survivors are then clustered into intervals.  The return
+probe is one interval iteration over all candidates at once, through the
+map's closed-form `interval_image`.
 """
 
 from __future__ import annotations
@@ -101,38 +103,18 @@ def build_backward_tree(m: PiecewiseMap, x: float, depth: int,
 def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float, steps: int = 40) -> np.ndarray:
     """True where the forward orbit of [y-r, y+r] comes back over y.
 
-    Two-branch maps get a fully vectorized interval iteration; anything
-    else falls back to per-point exact interval images.
+    Iterates the interval images of all the probes at once, for up to
+    `steps` forward steps.
     """
-    if len(ys) == 0:
-        return np.zeros(0, bool)
-    if len(m.branches) == 2:
-        c = m.critical
-        peak = m.peak
-        lo = np.clip(ys - r, m.domain.lo, m.domain.hi)
-        hi = np.clip(ys + r, m.domain.lo, m.domain.hi)
-        acc = np.zeros(len(ys), bool)
-        for _ in range(steps):
-            crosses = (lo < c) & (hi > c)
-            flo = m(lo)
-            fhi = m(hi)
-            a = np.minimum(flo, fhi)
-            b = np.where(crosses, peak, np.maximum(flo, fhi))
-            lo, hi = a, b
-            acc |= (lo <= ys) & (ys <= hi)
-            if acc.all():
-                break
-        return acc
-    out = np.zeros(len(ys), bool)
-    for i, y in enumerate(ys):
-        a = max(m.domain.lo, y - r)
-        b = min(m.domain.hi, y + r)
-        for _ in range(steps):
-            a, b = m.interval_image(a, b)
-            if a <= y <= b:
-                out[i] = True
-                break
-    return out
+    lo = np.clip(ys - r, m.domain.lo, m.domain.hi)
+    hi = np.clip(ys + r, m.domain.lo, m.domain.hi)
+    acc = np.zeros(len(ys), bool)
+    for _ in range(steps):
+        lo, hi = m.interval_image(lo, hi)
+        acc |= (lo <= ys) & (ys <= hi)
+        if acc.all():
+            break
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ __all__ = [
     "match_nodes",
     "expansion_time",
     "expansion_bound",
-    "oracle_report",
 ]
 
 _MIN_CELLS = 100
@@ -92,14 +91,20 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     return GridGraph(n, eps, jlo, jhi)
 
 
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """Cells of the windows lo[k] .. hi[k] (empty when lo[k] > hi[k]),
+    concatenated in order, and the running window ends."""
+    counts = (hi - lo + 1).clip(min=0)
+    ends = np.cumsum(counts)
+    cells = np.repeat(lo - (ends - counts), counts)
+    cells += np.arange(len(cells), dtype=np.int64)
+    return cells, ends
+
+
 def _sparse(g: GridGraph) -> csr_matrix:
-    counts = (g.jhi - g.jlo + 1).clip(min=0)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    total = int(indptr[-1])
-    offs = np.arange(total, dtype=np.int64) - np.repeat(indptr[:-1], counts)
-    idx = np.repeat(g.jlo, counts) + offs
-    return csr_matrix((np.ones(total, np.int8), idx, indptr), shape=(g.n, g.n))
+    idx, ends = _expand(g.jlo, g.jhi)
+    indptr = np.concatenate(([0], ends))
+    return csr_matrix((np.ones(len(idx), np.int8), idx, indptr), shape=(g.n, g.n))
 
 
 def recurrent_cells(g: GridGraph):
@@ -222,11 +227,7 @@ def conley_graph(cc: ChainClasses):
         seen[cs] = False
         frontier = np.flatnonzero(seen)
         while len(frontier):
-            lo, hi = g.jlo[frontier], g.jhi[frontier]
-            counts = (hi - lo + 1).clip(min=0)
-            total = int(counts.sum())
-            offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-            nxt = np.repeat(lo, counts) + offs
+            nxt = _expand(g.jlo[frontier], g.jhi[frontier])[0]
             nxt = np.sort(nxt[~seen[nxt]])
             nxt = nxt[np.diff(nxt, prepend=-1) != 0]
             seen[nxt] = True
@@ -342,27 +343,3 @@ def expansion_time(m: PiecewiseMap, lo: float, hi: float, max_steps: Optional[in
             return k
         a, b = m.interval_image(a, b)
     raise RuntimeError(f"interval failed to cover the core within {cap} steps")
-
-
-def oracle_report(m: PiecewiseMap, n: int, epsilons=None, nodes=None, tol=None) -> dict:
-    """One-shot JSON-able summary: classes, Conley edges, tower verdict, and
-    (when analytic nodes are supplied) the matching report."""
-    cc = chain_classes(m, n, epsilons)
-    edges = conley_graph(cc)
-    try:
-        tower = verify_tower(cc, edges)
-    except ValueError as err:
-        tower = f"error: {err}"
-    rep = {
-        "map": m.label,
-        "n": n,
-        "epsilons": list(cc.epsilons),
-        "classes": [[[iv.lo, iv.hi] for iv in cc.support(i)] for i in range(len(cc))],
-        "edges": [list(e) for e in edges],
-        "tower": tower,
-    }
-    if nodes is not None:
-        if tol is None:
-            tol = 4.0 / n
-        rep["match"] = match_nodes(nodes, cc, tol).to_dict()
-    return rep

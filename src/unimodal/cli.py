@@ -114,6 +114,7 @@ def cmd_verify(args, parser) -> int:
     checks = []
 
     cc = chain_classes(m, n, eps)
+    report["classes"] = [[[iv.lo, iv.hi] for iv in cc.support(i)] for i in range(len(cc))]
     edges = conley_graph(cc)
     try:
         tower = verify_tower(cc, edges)

@@ -231,19 +231,21 @@ class PiecewiseMap:
             allx = allx[keep]
         return allx
 
-    def interval_image(self, lo: float, hi: float):
-        """Exact image of [lo, hi] as an (lo, hi) tuple.
+    def interval_image(self, lo, hi):
+        """Image of [lo, hi] as an (lo, hi) pair, for scalars or arrays.
 
-        Walks the branches overlapping the interval; exact for piecewise
-        monotone maps since extrema occur at endpoints or branch joints.
+        f rises to the critical point and falls after it, so the image is
+        [min(f(lo), f(hi)), peak] when c lies strictly inside and
+        [min(f(lo), f(hi)), max(f(lo), f(hi))] otherwise.  Scalar calls
+        return floats and reject points outside the domain.
         """
-        vals = [self._eval_scalar(lo), self._eval_scalar(hi)]
-        for b in self.branches:
-            if lo < b.domain.hi and b.domain.lo < hi:
-                for e in (b.domain.lo, b.domain.hi):
-                    if lo <= e <= hi:
-                        vals.append(float(b(e)))
-        return min(vals), max(vals)
+        c = self.critical
+        if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+            flo, fhi = self._eval_scalar(float(lo)), self._eval_scalar(float(hi))
+            return min(flo, fhi), (self.peak if lo < c < hi else max(flo, fhi))
+        flo, fhi = self(lo), self(hi)
+        crosses = (lo < c) & (hi > c)
+        return np.minimum(flo, fhi), np.where(crosses, self.peak, np.maximum(flo, fhi))
 
     def interval_preimage(self, lo: float, hi: float):
         """All components of f^{-1}([lo, hi]) as a merged list of Intervals."""

@@ -97,14 +97,7 @@ def find_cycle(m: PiecewiseMap, period: int, bracket: Interval) -> Cycle:
             lo = mid
         if hi - lo < _BISECT_TOL:
             break
-    x = 0.5 * (lo + hi)
-    pts = [x]
-    for _ in range(period - 1):
-        pts.append(m(pts[-1]))
-    # canonical rotation: smallest point first
-    k = int(np.argmin(pts))
-    pts = pts[k:] + pts[:k]
-    cyc = Cycle(tuple(pts), period, _multiplier(m, pts))
+    cyc = make_cycle(m, 0.5 * (lo + hi), period)
     err = max(abs(m(cyc.points[i]) - cyc.points[(i + 1) % period]) for i in range(period))
     if err > 1e-10:
         raise ValueError(f"bisection result is not a genuine cycle (defect {err:.3g})")
@@ -126,7 +119,8 @@ def cycle_multiplier(m: PiecewiseMap, cycle: Cycle) -> float:
 
 
 def make_cycle(m: PiecewiseMap, x: float, period: int) -> Cycle:
-    """Package a known periodic point into a Cycle (no root-finding)."""
+    """Package a known periodic point into a Cycle (no root-finding),
+    rotated to start at its smallest point."""
     pts = [x]
     for _ in range(period - 1):
         pts.append(m(pts[-1]))

@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-_MAX_DEPTH = 60
 
 
 @dataclass(frozen=True)
@@ -164,10 +163,7 @@ def node_depth(s: float) -> int:
         return 0
     t = -math.log2(math.log2(s))
     p = math.ceil(t - 1e-9)
-    p = max(p, 1)
-    if p > _MAX_DEPTH:
-        raise ValueError(f"tower depth {p} exceeds the supported cap {_MAX_DEPTH}")
-    return p
+    return max(p, 1)
 
 
 def tent_parameter(m: PiecewiseMap) -> float:

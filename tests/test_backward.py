@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_maps import reference_interval_image
 from unimodal import (
     build_backward_tree,
     compare_salpha,
     dense_backward_orbit,
+    make_logistic,
     make_tent,
+    make_tu,
     predicted_salpha,
     salpha,
 )
+from unimodal.backward import _returns_mask
 
 
 class TestBackwardTree:
@@ -55,6 +59,35 @@ class TestBackwardTree:
         t = build_backward_tree(make_tent(2.0), 0.3, 20)
         assert t.truncated
         assert len(t.row(20)) <= 200_000
+
+
+def reference_returns(m, ys, r, steps=40):
+    # one probe at a time through the branch-walking interval image
+    out = []
+    for y in ys:
+        a, b = max(m.domain.lo, y - r), min(m.domain.hi, y + r)
+        for _ in range(steps):
+            a, b = reference_interval_image(m, a, b)
+            if a <= y <= b:
+                out.append(True)
+                break
+        else:
+            out.append(False)
+    return np.array(out)
+
+
+class TestReturnProbe:
+    @pytest.mark.parametrize("m", [make_tu(1.0), make_tu(1.003), make_logistic(3.9)],
+                             ids=lambda m: m.label.split("|")[0])
+    @pytest.mark.parametrize("r", [2e-3, 1e-5])
+    def test_matches_per_point_reference(self, m, r):
+        ys = np.random.default_rng(7).uniform(0.0, 1.0, 400)
+        got = _returns_mask(m, ys, r)
+        assert got.tolist() == reference_returns(m, ys, r).tolist()
+
+    def test_empty_points(self):
+        out = _returns_mask(make_tu(1.0), np.empty(0), 2e-3)
+        assert out.dtype == bool and out.shape == (0,)
 
 
 class TestPrediction:

@@ -12,7 +12,6 @@ from unimodal import (
     expansion_time,
     make_tent,
     match_nodes,
-    oracle_report,
     recurrent_cells,
     verify_tower,
 )
@@ -183,13 +182,6 @@ class TestExpansion:
         m = make_tent(1.5)
         with pytest.raises(RuntimeError):
             expansion_time(m, 0.45, 0.55, max_steps=1)
-
-
-def test_oracle_report_shape():
-    rep = oracle_report(make_tent(1.8), 5_000, nodes=analytic_nodes(1.8), tol=8e-4)
-    assert rep["tower"] is True
-    assert rep["match"]["passed"]
-    assert len(rep["classes"]) == 2
 
 
 @settings(max_examples=25, deadline=None)

@@ -81,6 +81,16 @@ class TestVerify:
         assert "expansion" not in doc
         assert len(doc["salpha"]) == 2
 
+    def test_json_report_carries_class_supports(self, capsys):
+        _, out, _ = run(["verify", "--s", "1.8", "--n", "5000", "--json"], capsys)
+        doc = json.loads(out)
+        assert doc["tower"] is True
+        assert doc["match"]["passed"]
+        cc = unimodal.chain_classes(unimodal.make_tent(1.8), 5000)
+        want = [[[iv.lo, iv.hi] for iv in cc.support(i)] for i in range(len(cc))]
+        assert len(doc["classes"]) == 2
+        assert doc["classes"] == want
+
     def test_expansion_past_budget_fails_with_exit_1(self, capsys):
         # just above sqrt(2) the cover time outruns the step budget
         code, out, _ = run(["verify", "--s", "1.414214", "--n", "20000"], capsys)

@@ -16,6 +16,19 @@ from unimodal import (
     tu_skeleton,
 )
 
+
+def reference_interval_image(m, lo, hi):
+    # Branch walk: the extrema of a piecewise monotone map on [lo, hi] lie
+    # at its endpoints or at branch joints inside it.
+    vals = [m(lo), m(hi)]
+    for b in m.branches:
+        if lo < b.domain.hi and b.domain.lo < hi:
+            for e in (b.domain.lo, b.domain.hi):
+                if lo <= e <= hi:
+                    vals.append(float(b(e)))
+    return min(vals), max(vals)
+
+
 # endpoints of the chord inserts for the u family, solved from the base map
 SKELETON = {
     "p1": 0.5528783441427031,
@@ -215,3 +228,35 @@ def test_preimages_are_genuine(s, y):
         assert abs(m(x) - y) <= 1e-12
     if len(pts) == 2:
         assert pts[0] < m.critical < pts[1]
+
+
+_IMAGE_FAMILIES = {
+    "tent": (make_tent, st.floats(1.01, 2.0), 0.0),
+    "logistic": (make_logistic, st.floats(0.5, 4.0), 0.0),
+    "tu": (make_tu, st.floats(0.99, 1.005), 1e-15),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(_IMAGE_FAMILIES)), data=st.data(),
+       ends=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=20))
+def test_interval_image_matches_branch_walk(family, data, ends):
+    """The unimodal closed form equals the branch walk, and an array call
+    equals the scalar calls element by element."""
+    make, params, tol = _IMAGE_FAMILIES[family]
+    m = make(data.draw(params))
+    ivs = [(min(a, b), max(a, b)) for a, b in ends]
+    for lo, hi in ivs:
+        got = m.interval_image(lo, hi)
+        want = reference_interval_image(m, lo, hi)
+        assert all(type(v) is float for v in got)
+        assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
+    los, his = m.interval_image(np.array([a for a, _ in ivs]), np.array([b for _, b in ivs]))
+    assert los.tolist() == [m.interval_image(lo, hi)[0] for lo, hi in ivs]
+    assert his.tolist() == [m.interval_image(lo, hi)[1] for lo, hi in ivs]
+
+
+def test_interval_image_rejects_points_outside_the_domain():
+    with pytest.raises(ValueError):
+        make_tent(1.8).interval_image(0.2, 1.5)

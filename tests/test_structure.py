@@ -57,6 +57,10 @@ class TestNodeDepth:
         assert node_depth(math.sqrt(2)) == 1
         assert node_depth(math.sqrt(2) - 1e-6) == 2
 
+    def test_smallest_float_slope_has_depth_52(self):
+        # the deepest tower any float slope can ask for
+        assert node_depth(math.nextafter(1.0, 2.0)) == 52
+
 
 class TestAnalyticNodes:
     def test_chaotic_tent_single_class(self):
