@@ -7,11 +7,13 @@ the chain-recurrent set, its classes, and the reachability order between
 them are read off the directed graph.  Strongly connected components come
 from scipy; everything else is plain array work.
 
-An eps ladder is validated and recorded, but only its finest rung is
-built: the window bounds are monotone in eps - h under IEEE rounding, so
-on a fixed grid each finer rung's windows nest inside every coarser
-rung's, and the finest recurrent set is the intersection over the ladder.
-`build_grid` and `recurrent_cells` stay public for inspecting one rung.
+The chain-recurrent set is the intersection of the eps-chain-recurrent
+sets over all eps > 0, and one eps is enough to compute it on a fixed
+grid: the window bounds are monotone in eps - h under IEEE rounding, so a
+smaller eps gives every cell a window nested inside the one a larger eps
+gives it, and the recurrent set at eps is already the intersection over
+any ladder of larger jump sizes ending at eps.  `build_grid` and
+`recurrent_cells` stay public for inspecting the graph at any eps.
 
 Edge slack is eps - h: with fc the image of the center of cell i, cell j is
 admitted when |fc - center_j| <= eps - h, so every point of cell j sits
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -79,15 +81,17 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     if n < _MIN_CELLS:
         raise ValueError(f"grid too coarse: n={n} < {_MIN_CELLS}")
     h = 1.0 / n
-    if eps < 1.5 * h:
-        raise ValueError(f"eps={eps} below 1.5h={1.5 * h}: no edges are certifiable")
+    if not (math.isfinite(eps) and eps >= 1.5 * h):
+        raise ValueError(f"eps={eps} must be finite and at least 1.5h={1.5 * h}: "
+                         "below that no edges are certifiable")
     if m.domain.lo != 0.0 or m.domain.hi != 1.0:
         raise ValueError("oracle grid expects the unit interval domain")
     centers = (np.arange(n) + 0.5) * h
     fc = m(centers)
     slack = eps - h
-    jlo = np.clip(np.ceil((fc - slack) / h - 0.5).astype(np.int64), 0, n - 1)
-    jhi = np.clip(np.floor((fc + slack) / h - 0.5).astype(np.int64), 0, n - 1)
+    # clipped before the cast, so a huge eps cannot overflow int64
+    jlo = np.clip(np.ceil((fc - slack) / h - 0.5), 0, n - 1).astype(np.int64)
+    jhi = np.clip(np.floor((fc + slack) / h - 0.5), 0, n - 1).astype(np.int64)
     return GridGraph(n, eps, jlo, jhi)
 
 
@@ -122,33 +126,20 @@ def recurrent_cells(g: GridGraph):
     return (sizes >= 2)[lab] | has_loop[lab], lab
 
 
-def _check_epsilons(n: int, epsilons: Sequence[float]):
-    h = 1.0 / n
-    eps = [float(e) for e in epsilons]
-    if not eps:
-        raise ValueError("need at least one eps")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"eps ladder must be strictly decreasing, got {eps}")
-    if eps[-1] < h:
-        raise ValueError(f"smallest eps {eps[-1]} is below the cell width {h}")
-    return eps
-
-
 @dataclass(frozen=True)
 class ChainClasses:
     """Chain-recurrent cells partitioned into classes, shallowest first.
 
-    Classes are strong components of the finest graph (recurrent cells with
-    at most two cells between them are glued), ordered by the maximum of f
-    over their centers, which on a tower runs from the boundary fixed class
-    up to the attractor.  `epsilons` is the whole validated ladder; `graph`
-    is its finest rung, the only one built.
+    Classes are strong components of the eps-chain graph (recurrent cells
+    with at most two cells between them are glued), ordered by the maximum
+    of f over their centers, which on a tower runs from the boundary fixed
+    class up to the attractor.  `graph` is that graph; its `eps` is the one
+    jump size the classes were computed at.
     """
 
     n: int
-    epsilons: tuple
     classes: tuple          # tuple of int64 arrays of cell indices
-    graph: GridGraph        # the finest-eps graph, reused for reachability
+    graph: GridGraph        # the eps-chain graph, reused for reachability
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -169,23 +160,22 @@ class ChainClasses:
         return [(int(cs[a]), int(cs[b])) for a, b in zip(starts, ends)]
 
 
-def chain_classes(m: PiecewiseMap, n: int, epsilons: Optional[Sequence[float]] = None) -> ChainClasses:
-    """Chain-recurrent classes surviving every eps in a decreasing ladder.
+def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> ChainClasses:
+    """Chain-recurrent classes of the eps-chain graph on n cells.
 
-    The ladder is validated and recorded, but only its finest rung is
-    built: its windows nest inside every coarser rung's, so its recurrent
-    set is the intersection over the ladder.  The partition and the
-    reachability graph come from that rung.
+    eps defaults to two cell widths.  One jump size is enough: the windows
+    at eps nest inside those at every larger jump size, so a ladder of
+    decreasing eps ending here would give the same classes.  The partition
+    and the reachability graph both come from this one graph.
     """
-    h = 1.0 / n
-    if epsilons is None:
-        epsilons = (32 * h, 8 * h, 2 * h)
-    eps = _check_epsilons(n, epsilons)
-    fine = build_grid(m, n, eps[-1])
-    rec, lab = recurrent_cells(fine)
+    if eps is None:
+        eps = 2 * (1.0 / n)         # two cell widths
+    g = build_grid(m, n, eps)
+    h = g.h
+    rec, lab = recurrent_cells(g)
     cells = np.flatnonzero(rec)
     if len(cells) == 0:
-        raise ValueError("no chain-recurrent cells: the ladder is too fine for this grid")
+        raise ValueError("no chain-recurrent cells: eps is too fine for this grid")
 
     # Undirected graph on grid cells plus one node per strong component:
     # each recurrent cell is tied to its component's node and to the next
@@ -206,11 +196,11 @@ def chain_classes(m: PiecewiseMap, n: int, epsilons: Optional[Sequence[float]] =
     tops = np.maximum.reduceat(m((members + 0.5) * h), starts)
     groups = np.split(members, starts[1:])
     classes = tuple(groups[i] for i in np.lexsort((members[starts], tops)))
-    return ChainClasses(n, tuple(eps), classes, fine)
+    return ChainClasses(n, classes, g)
 
 
 def conley_graph(cc: ChainClasses):
-    """Reachability edges between classes in the finest graph.
+    """Reachability edges between classes in the eps-chain graph.
 
     An edge i -> j is recorded when some cell within two cells of class i
     (but outside it) reaches class j along graph edges; this captures both

@@ -85,15 +85,6 @@ def cmd_nodes(args, parser) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _eps_list(raw: str, n: int):
-    h = 1.0 / n
-    try:
-        mults = [float(t) for t in raw.split(",") if t.strip()]
-    except ValueError:
-        return None
-    return [mh * h for mh in mults]
-
-
 def cmd_verify(args, parser) -> int:
     # Tent only: the analytic tower of a tent map accounts for the whole
     # chain-recurrent set, so tower and oracle must agree class for class.
@@ -105,15 +96,14 @@ def cmd_verify(args, parser) -> int:
     m = _build_map(args, parser)
     nodes = analytic_nodes(args.s)
     n = args.n
-    eps = _eps_list(args.eps, n)
-    if not eps:
-        parser.error(f"bad --eps list: {args.eps!r}")
-    h = 1.0 / n
-
-    report = {"map": m.label, "n": n, "epsilons": eps}
-    checks = []
-
+    # with n < 1 eps is 0 and build_grid refuses the grid, naming the
+    # smallest n, instead of dividing by zero here
+    h = 1.0 / n if n > 0 else 0.0
+    eps = args.eps * h
     cc = chain_classes(m, n, eps)
+
+    report = {"map": m.label, "n": n, "eps": eps}
+    checks = []
     report["classes"] = [[[iv.lo, iv.hi] for iv in cc.support(i)] for i in range(len(cc))]
     edges = conley_graph(cc)
     try:
@@ -342,7 +332,8 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="oracle cross-check of the tower (tent family)")
     common(sp)
     sp.add_argument("--n", type=int, default=100_000, help="oracle grid cells")
-    sp.add_argument("--eps", default="32,8,2", help="eps ladder in cell-width multiples")
+    sp.add_argument("--eps", type=float, default=2.0,
+                    help="chain jump size in cell widths, at least 1.5 (default 2)")
     sp.add_argument("--depth", type=int, default=24, help="backward tree depth")
 
     sp = sub.add_parser("bifurcation", help="render an attractor diagram (PGM + CSV)")

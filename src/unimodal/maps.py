@@ -11,8 +11,9 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,26 +88,23 @@ class Branch:
             return self.shape[1]
         return self.shape[1] * (1.0 - 2.0 * x)
 
-    def invert(self, y):
-        """All x in this branch's domain with branch(x) = y, as a list."""
-        lo, hi = self.domain.lo, self.domain.hi
-        out = []
+    def invert(self, ys):
+        """Every x in this branch's domain with branch(x) = y for some y in
+        ys (a scalar or an array), as one array: (y - b)/m on an affine
+        branch, both roots of x^2 - x + y/a on a quad one.  Roots within
+        _DEDUP_TOL of the domain are kept and clipped to it."""
+        ys = np.asarray(ys, dtype=float).ravel()
         if self.shape[0] == "affine":
             _, m, b = self.shape
-            if m != 0.0:
-                x = (y - b) / m
-                if lo - _DEDUP_TOL <= x <= hi + _DEDUP_TOL:
-                    out.append(min(max(x, lo), hi))
+            xs = (ys - b) / m if m != 0.0 else ys[:0]
         else:
             _, a = self.shape
-            # a*x*(1-x) = y  ->  x^2 - x + y/a = 0
-            disc = 1.0 - 4.0 * y / a
-            if disc >= 0.0:
-                r = math.sqrt(disc)
-                for x in ((1.0 - r) / 2.0, (1.0 + r) / 2.0):
-                    if lo - _DEDUP_TOL <= x <= hi + _DEDUP_TOL:
-                        out.append(min(max(x, lo), hi))
-        return out
+            disc = 1.0 - 4.0 * ys / a if a != 0.0 else ys[:0]
+            r = np.sqrt(disc[disc >= 0.0])
+            xs = np.concatenate(((1.0 - r) / 2.0, (1.0 + r) / 2.0))
+        lo, hi = self.domain.lo, self.domain.hi
+        xs = xs[(xs >= lo - _DEDUP_TOL) & (xs <= hi + _DEDUP_TOL)]
+        return np.clip(xs, lo, hi)
 
 
 class PiecewiseMap:
@@ -185,51 +183,22 @@ class PiecewiseMap:
 
     def preimages(self, y: float):
         """Sorted list of all x with f(x) = y.  Empty when y is above the peak."""
-        xs = []
-        for b in self.branches:
-            xs.extend(b.invert(y))
-        xs.sort()
-        out = []
-        for x in xs:
-            if not out or x - out[-1] > _DEDUP_TOL:
-                out.append(x)
-        return out
+        return self.preimages_array([y]).tolist()
 
     def preimages_array(self, ys):
         """Vectorized preimages of a batch of values.
 
-        Returns a single sorted, deduplicated array of every preimage of
-        every value in ys.  Used by the backward-orbit machinery where the
-        per-point tree structure does not matter, only the level sets.
+        Returns a single sorted array of every preimage of every value in
+        ys, with points closer than _DEDUP_TOL to their predecessor (a root
+        found by both branches at a joint) dropped.  Used by the
+        backward-orbit machinery where the per-point tree structure does
+        not matter, only the level sets.
         """
-        ys = np.asarray(ys, dtype=float)
-        chunks = []
-        for b in self.branches:
-            lo, hi = b.domain.lo, b.domain.hi
-            if b.shape[0] == "affine":
-                _, m, c = b.shape
-                if m == 0.0:
-                    continue
-                x = (ys - c) / m
-                x = x[(x >= lo - _DEDUP_TOL) & (x <= hi + _DEDUP_TOL)]
-                chunks.append(np.clip(x, lo, hi))
-            else:
-                _, a = b.shape
-                disc = 1.0 - 4.0 * ys / a
-                ok = disc >= 0.0
-                r = np.sqrt(disc[ok])
-                for x in ((1.0 - r) / 2.0, (1.0 + r) / 2.0):
-                    x = x[(x >= lo - _DEDUP_TOL) & (x <= hi + _DEDUP_TOL)]
-                    chunks.append(np.clip(x, lo, hi))
-        if not chunks:
-            return np.empty(0)
-        allx = np.sort(np.concatenate(chunks))
-        if len(allx) > 1:
-            keep = np.empty(len(allx), dtype=bool)
-            keep[0] = True
-            np.greater(np.diff(allx), _DEDUP_TOL, out=keep[1:])
-            allx = allx[keep]
-        return allx
+        allx = np.sort(np.concatenate([b.invert(ys) for b in self.branches]))
+        keep = np.empty(len(allx), dtype=bool)
+        keep[:1] = True
+        np.greater(np.diff(allx), _DEDUP_TOL, out=keep[1:])
+        return allx[keep]
 
     def interval_image(self, lo, hi):
         """Image of [lo, hi] as an (lo, hi) pair, for scalars or arrays.
@@ -257,8 +226,8 @@ class PiecewiseMap:
             if rhi < lo or rlo > hi:
                 continue
             ylo, yhi = max(lo, rlo), min(hi, rhi)
-            a = b.invert(ylo)
-            z = b.invert(yhi)
+            a = b.invert(ylo).tolist()
+            z = b.invert(yhi).tolist()
             ends = (a or [blo if vlo >= lo else bhi]) + (z or [])
             if not a or not z:
                 # value hit a branch endpoint within float dust: the domain
@@ -334,6 +303,20 @@ def make_logistic(mu: float) -> PiecewiseMap:
     return PiecewiseMap([up, down], Interval(0.0, 1.0), 0.5, f"logistic:{mu!r}")
 
 
+def bisect_root(g, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] after halving it, keeping a sign change of g,
+    until it is shorter than tol (at most 200 halvings)."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(lo) * g(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def _logistic_val(x: float, mu: float = TU_BASE_MU) -> float:
     return mu * x * (1.0 - x)
 
@@ -347,27 +330,13 @@ def _period3_cycle_of_base():
     the latter; we find all period-3 points by scanning sign changes of
     l^3(x) - x and keep the positive-multiplier orbit.
     """
-    mu = TU_BASE_MU
-
-    def f3(x):
-        for _ in range(3):
-            x = _logistic_val(x)
-        return x
+    def g(x):
+        return _logistic_val(_logistic_val(_logistic_val(x))) - x
 
     xs = np.linspace(0.0, 1.0, 20001)
-    vals = np.array([f3(x) - x for x in xs])
-    roots = []
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        lo, hi = xs[i], xs[i + 1]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if (f3(lo) - lo) * (f3(mid) - mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-14:
-                break
-        roots.append(0.5 * (lo + hi))
+    vals = g(xs)
+    roots = [bisect_root(g, xs[i], xs[i + 1], 1e-14)
+             for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)]
     # discard fixed points, group remaining roots into orbits
     roots = [r for r in roots if abs(_logistic_val(r) - r) > 1e-6]
     orbits = []
@@ -394,8 +363,10 @@ def _period3_cycle_of_base():
     raise RuntimeError("no regular period-3 cycle found for the base map")
 
 
-def _tu_skeleton():
-    """Cycle points and linear-insert interval endpoints for the u family.
+@functools.cache
+def tu_skeleton():
+    """Cycle points and linear-insert interval endpoints for the u family,
+    computed once.
 
     p1 is the cycle point whose surrounding interval [q1, p1] contains c;
     among the two period-3 cycles it belongs to the regular one.  q3 and q2
@@ -411,30 +382,12 @@ def _tu_skeleton():
         # bisection for l(x) = target on a monotone piece of the base map
         g = lambda x: _logistic_val(x) - target
         assert g(lo) * g(hi) <= 0, "bisection bracket does not straddle the root"
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(lo) * g(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-15:
-                break
-        return 0.5 * (lo + hi)
+        return bisect_root(g, lo, hi, 1e-15)
 
     q3 = solve_on(q1, 0.0, p3)          # left lap, below p3
     q2 = solve_on(q3, p2, 1.0)          # right lap, beyond p2
     vals = {"p1": p1, "p2": p2, "p3": p3, "q1": q1, "q2": q2, "q3": q3, "lam": lam}
     return {k: float(v) for k, v in vals.items()}
-
-
-_TU_CACHE = None
-
-
-def tu_skeleton():
-    global _TU_CACHE
-    if _TU_CACHE is None:
-        _TU_CACHE = _tu_skeleton()
-    return _TU_CACHE
 
 
 def make_tu(mu: float) -> PiecewiseMap:

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Interval, PiecewiseMap
+from .maps import Interval, PiecewiseMap, bisect_root
 
 __all__ = ["Cycle", "critical_orbit", "interior_fixed_point", "find_cycle", "cycle_multiplier"]
 
 _BISECT_TOL = 1e-12
-_BISECT_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -53,17 +51,7 @@ def interior_fixed_point(m: PiecewiseMap) -> float:
     c = m.critical
     if m(c) <= c:
         raise ValueError("map has no interior fixed point (peak at or below the diagonal)")
-    lo, hi = c, m.domain.hi
-    g = lambda x: m(x) - x
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if g(lo) * g(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < _BISECT_TOL:
-            break
-    x = 0.5 * (lo + hi)
+    x = bisect_root(lambda x: m(x) - x, c, m.domain.hi, _BISECT_TOL)
     assert abs(m(x) - x) <= 1e-10
     return x
 
@@ -89,15 +77,7 @@ def find_cycle(m: PiecewiseMap, period: int, bracket: Interval) -> Cycle:
     g = lambda x: m.iterate(x, period) - x
     if g(lo) * g(hi) > 0:
         raise ValueError("no sign change of f^period - id on the bracket")
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if g(lo) * g(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < _BISECT_TOL:
-            break
-    cyc = make_cycle(m, 0.5 * (lo + hi), period)
+    cyc = make_cycle(m, bisect_root(g, lo, hi, _BISECT_TOL), period)
     err = max(abs(m(cyc.points[i]) - cyc.points[(i + 1) % period]) for i in range(period))
     if err > 1e-10:
         raise ValueError(f"bisection result is not a genuine cycle (defect {err:.3g})")

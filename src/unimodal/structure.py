@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import Interval, PiecewiseMap, make_tent, merge_intervals, subtract_intervals
+from .maps import (Interval, PiecewiseMap, make_tent, merge_intervals, subtract_intervals,
+                   tu_skeleton)
 from .orbits import Cycle, critical_orbit, find_cycle, make_cycle
 
 __all__ = [
@@ -486,8 +487,6 @@ def tu_cycle(m: PiecewiseMap) -> Cycle:
     Searches the falling tent lap for the cycle point nearest c, widening
     the bracket until f^3 - id changes sign.
     """
-    from .maps import tu_skeleton
-
     sk = tu_skeleton()
     x0 = sk["p1"]
     ref = (sk["p1"], sk["p2"], sk["p3"])

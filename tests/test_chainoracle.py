@@ -24,6 +24,9 @@ class TestGrid:
             build_grid(m, 50, 0.01)
         with pytest.raises(ValueError):
             build_grid(m, 1000, 0.0012)   # below 1.5 cells
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and at least 1.5h"):
+                build_grid(m, 1000, eps)
 
     def test_edge_slack_certifies_strict_interior(self):
         # at slack eps - h, a cell reaches exactly the cells whose centers
@@ -39,6 +42,11 @@ class TestGrid:
         assert abs(fc - (hi + 0.5) * h) <= eps - h
         assert abs(fc - (lo - 0.5) * h) > eps - h
         assert abs(fc - (hi + 1.5) * h) > eps - h
+
+    def test_huge_eps_reaches_every_cell(self):
+        n = 1000
+        g = build_grid(make_tent(1.5), n, 1e300)
+        assert (g.jlo == 0).all() and (g.jhi == n - 1).all()
 
     def test_image_cell_always_reached(self):
         # the cell containing f(center) is always an out-neighbor
@@ -74,14 +82,9 @@ class TestRecurrence:
 
 
 class TestChainClasses:
-    def test_ladder_guards(self):
-        m = make_tent(1.5)
-        with pytest.raises(ValueError):
-            chain_classes(m, 1000, [])
-        with pytest.raises(ValueError):
-            chain_classes(m, 1000, [8e-3, 8e-3])
-        with pytest.raises(ValueError):
-            chain_classes(m, 1000, [8e-3, 5e-4])   # finest below h
+    def test_eps_below_one_and_a_half_cells_raises(self):
+        with pytest.raises(ValueError, match="1.5h"):
+            chain_classes(make_tent(1.5), 1000, 5e-4)
 
     @pytest.mark.parametrize("s,k", [(2.0, 1), (1.8, 2), (1.4, 3), (1.1, 4)])
     def test_class_counts(self, s, k):
@@ -251,7 +254,7 @@ def reference_chain_classes(m, n, epsilons):
     fvals = dict(zip(cells.tolist(), m((cells + 0.5) * h).tolist()))
     ordered = sorted(groups.values(), key=lambda cs: max(fvals[c] for c in cs))
     classes = tuple(np.array(sorted(cs), dtype=np.int64) for cs in ordered)
-    return ChainClasses(n, tuple(epsilons), classes, fine)
+    return ChainClasses(n, classes, fine)
 
 
 def reference_conley_graph(cc):
@@ -298,12 +301,13 @@ def _oracle_case(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=_oracle_case())
 def test_finest_rung_oracle_matches_reference(case):
-    """Building only the finest rung gives the ladder's classes and edges."""
+    """One eps gives the classes and edges of any decreasing ladder of
+    jump sizes ending at it."""
     s, n, eps = case
     m = make_tent(s)
     ref = reference_chain_classes(m, n, eps)
-    cc = chain_classes(m, n, eps)
-    assert cc.epsilons == ref.epsilons
+    cc = chain_classes(m, n, eps[-1])
+    assert cc.graph.eps == eps[-1]
     assert len(cc.classes) == len(ref.classes)
     for got, want in zip(cc.classes, ref.classes):
         assert got.dtype == want.dtype

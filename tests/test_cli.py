@@ -111,6 +111,32 @@ class TestVerify:
             main(["verify", "--s", "1.8", "--eps", "a,b"])
         assert exc.value.code == 2
 
+    def test_eps_ladder_is_refused(self):
+        # --eps takes one jump size; a ladder ending at it adds nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--s", "1.8", "--eps", "32,8,2"])
+        assert exc.value.code == 2
+
+    def test_json_report_carries_the_one_eps(self, capsys):
+        n = 5000
+        code, out, _ = run(["verify", "--s", "1.8", "--n", str(n), "--json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["eps"] == 2 / n
+        assert "epsilons" not in doc
+
+    @pytest.mark.parametrize("args,limit", [
+        (["--n", "2000", "--eps", "nan"], "eps=nan must be finite and at least 1.5h=0.00075"),
+        (["--n", "2000", "--eps", "inf"], "eps=inf must be finite and at least 1.5h=0.00075"),
+        (["--n", "0"], "grid too coarse: n=0 < 100"),
+        (["--n", "-5"], "grid too coarse: n=-5 < 100"),
+    ])
+    def test_bad_grid_input_exits_2_naming_the_limit(self, capsys, args, limit):
+        code, out, err = run(["verify", "--s", "1.8"] + args, capsys)
+        assert code == 2
+        assert out == ""
+        assert limit in err
+
     def test_non_tent_family_exits_2(self):
         # the tu tower deliberately omits the Cantor repellor outside its
         # window, so a whole-domain oracle comparison would always mismatch

@@ -29,6 +29,29 @@ def reference_interval_image(m, lo, hi):
     return min(vals), max(vals)
 
 
+def reference_preimages(m, y):
+    # Scalar branch walk: each branch inverted on its own, roots kept within
+    # 1e-12 of the branch domain and clipped to it, then sorted and deduped
+    # against the last root kept.
+    xs = []
+    for b in m.branches:
+        lo, hi = b.domain.lo, b.domain.hi
+        if b.shape[0] == "affine":
+            _, slope, icpt = b.shape
+            roots = [(y - icpt) / slope] if slope != 0.0 else []
+        else:
+            _, a = b.shape
+            disc = 1.0 - 4.0 * y / a
+            r = math.sqrt(disc) if disc >= 0.0 else None
+            roots = [] if r is None else [(1.0 - r) / 2.0, (1.0 + r) / 2.0]
+        xs += [min(max(x, lo), hi) for x in roots if lo - 1e-12 <= x <= hi + 1e-12]
+    out = []
+    for x in sorted(xs):
+        if not out or x - out[-1] > 1e-12:
+            out.append(x)
+    return out
+
+
 # endpoints of the chord inserts for the u family, solved from the base map
 SKELETON = {
     "p1": 0.5528783441427031,
@@ -181,7 +204,7 @@ class TestTuFamily:
     def test_skeleton_frozen(self):
         sk = tu_skeleton()
         for key, want in SKELETON.items():
-            assert sk[key] == pytest.approx(want, abs=1e-12), key
+            assert sk[key] == want, key
         # all stored as plain floats, not numpy scalars
         assert all(type(v) is float for v in sk.values())
 
@@ -228,6 +251,33 @@ def test_preimages_are_genuine(s, y):
         assert abs(m(x) - y) <= 1e-12
     if len(pts) == 2:
         assert pts[0] < m.critical < pts[1]
+
+
+_INVERT_FAMILIES = {
+    "tent": (make_tent, st.floats(1.01, 2.0)),
+    "logistic": (make_logistic, st.floats(3.0, 4.0)),
+    "tu": (make_tu, st.floats(0.99, 1.005)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(_INVERT_FAMILIES)), data=st.data(),
+       drawn=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_preimages_match_scalar_branch_walk(family, data, drawn):
+    """The array inversion equals the scalar branch walk value by value, on
+    drawn values and on the joint values and the peak, where neighbouring
+    branches share a root; a batch call equals the union of single calls."""
+    make, params = _INVERT_FAMILIES[family]
+    m = make(data.draw(params))
+    joints = [float(b(e)) for b in m.branches for e in b.domain]
+    ys = sorted(set(drawn + joints + [m.peak]))
+    for y in ys:
+        assert m.preimages(y) == reference_preimages(m, y), y
+    # values far enough apart that no two of them share a preimage within
+    # the dedupe tolerance, each passed twice
+    apart = [y for y, prev in zip(ys, [-1.0] + ys) if y - prev > 1e-9]
+    want = sorted({x for y in apart for x in m.preimages(y)})
+    assert m.preimages_array(apart + apart).tolist() == want
 
 
 _IMAGE_FAMILIES = {
