@@ -18,7 +18,6 @@ map's closed-form `interval_image`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,6 +39,14 @@ __all__ = [
 _MAX_TREE_DEPTH = 48
 _LEVEL_CAP = 200_000
 _DEGENERATE = 10
+# A dying point at distance d from a true accumulation point survives the
+# return probe only while d <= radius * slope / (slope - 1), so the probe
+# radius is kept distinctly smaller than the clustering gap.
+_RETURN_STEPS = 40      # forward steps of the return probe
+_PROBE_RADIUS = 2e-3
+_CLUSTER_GAP = 5e-3
+_SALPHA_TOL = 0.02      # Hausdorff distance at which an estimate passes
+_LOOKAHEAD = 8          # preimage rows a dense-orbit step looks ahead
 
 
 @dataclass(frozen=True)
@@ -68,12 +75,10 @@ def _thin(row: np.ndarray, cap: int) -> np.ndarray:
     return row[keep[np.r_[True, keep[1:] != keep[:-1]]]]
 
 
-def build_backward_tree(m: PiecewiseMap, x: float, depth: int,
-                        window: Optional[Interval] = None) -> BackwardTree:
+def build_backward_tree(m: PiecewiseMap, x: float, depth: int) -> BackwardTree:
     """All preimages of x down to the given depth, one sorted row per level.
 
-    Rows beyond the cap are thinned evenly (extremes kept); an optional
-    window restricts every row to an interval of interest.
+    Rows beyond the cap are thinned evenly (extremes kept).
     """
     if not 0 <= depth <= _MAX_TREE_DEPTH:
         raise ValueError(f"depth must be in [0, {_MAX_TREE_DEPTH}], got {depth}")
@@ -83,8 +88,6 @@ def build_backward_tree(m: PiecewiseMap, x: float, depth: int,
     truncated = False
     for _ in range(depth):
         row = m.preimages_array(levels[-1])
-        if window is not None:
-            row = row[(row >= window.lo - 1e-12) & (row <= window.hi + 1e-12)]
         if len(row) > _LEVEL_CAP:
             row = _thin(row, _LEVEL_CAP)
             truncated = True
@@ -100,16 +103,16 @@ def build_backward_tree(m: PiecewiseMap, x: float, depth: int,
 # return probe
 # ---------------------------------------------------------------------------
 
-def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float, steps: int = 40) -> np.ndarray:
+def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     """True where the forward orbit of [y-r, y+r] comes back over y.
 
     Iterates the interval images of all the probes at once, for up to
-    `steps` forward steps.
+    _RETURN_STEPS forward steps.
     """
     lo = np.clip(ys - r, m.domain.lo, m.domain.hi)
     hi = np.clip(ys + r, m.domain.lo, m.domain.hi)
     acc = np.zeros(len(ys), bool)
-    for _ in range(steps):
+    for _ in range(_RETURN_STEPS):
         lo, hi = m.interval_image(lo, hi)
         acc |= (lo <= ys) & (ys <= hi)
         if acc.all():
@@ -140,21 +143,16 @@ def _cluster(points: np.ndarray, gap: float):
     return [Interval(float(points[a]), float(points[b])) for a, b in zip(starts, ends)]
 
 
-def salpha(m: PiecewiseMap, x: float, depth: int = 30,
-           cluster_tol: float = 5e-3, probe_radius: float = 2e-3) -> SAlphaEstimate:
+def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     """Estimate of the s-alpha set of x from rows depth/2 .. depth of the
-    preimage tree, return-filtered and clustered with the given gap.
-
-    The probe radius bounds how far a transient can sneak past the filter:
-    a dying point at distance d from a true accumulation point survives
-    only while d <= radius * slope / (slope - 1), so it is kept distinctly
-    smaller than the clustering gap.
+    preimage tree, return-filtered with probes of radius _PROBE_RADIUS and
+    clustered with the gap _CLUSTER_GAP.
     """
     tree = build_backward_tree(m, x, depth)
     pts = tree.deep_points(depth // 2)
-    keep = _returns_mask(m, pts, probe_radius)
+    keep = _returns_mask(m, pts, _PROBE_RADIUS)
     pts = pts[keep]
-    ivs = tuple(_cluster(pts, cluster_tol))
+    ivs = tuple(_cluster(pts, _CLUSTER_GAP))
     return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, tree.truncated)
 
 
@@ -184,23 +182,22 @@ def predicted_salpha(s: float, x: float) -> PredictedSAlpha:
     return PredictedSAlpha(x, level, tuple(ivs))
 
 
-def compare_salpha(s: float, x: float, depth: int = 30, tol: float = 0.02,
-                   cluster_tol: float = 5e-3, probe_radius: float = 2e-3) -> dict:
+def compare_salpha(s: float, x: float, depth: int = 30) -> dict:
     """Estimator vs closed form, as a JSON-able report.
 
     Passes when the Hausdorff distance between the two interval unions is
-    within tol, or when both sides are empty.
+    within _SALPHA_TOL, or when both sides are empty.
     """
     m = make_tent(s)
     pred = predicted_salpha(s, x)
-    est = salpha(m, x, depth, cluster_tol, probe_radius)
+    est = salpha(m, x, depth)
     if not pred.intervals and not est.intervals:
         dist, passed = 0.0, True
     elif not pred.intervals or not est.intervals:
         dist, passed = float("inf"), False
     else:
         dist = hausdorff(list(est.intervals), list(pred.intervals))
-        passed = dist <= tol
+        passed = dist <= _SALPHA_TOL
     notes = []
     if pred.note:
         notes.append(pred.note)
@@ -214,7 +211,7 @@ def compare_salpha(s: float, x: float, depth: int = 30, tol: float = 0.02,
         "predicted": [[iv.lo, iv.hi] for iv in pred.intervals],
         "estimated": [[iv.lo, iv.hi] for iv in est.intervals],
         "hausdorff": dist,
-        "tol": tol,
+        "tol": _SALPHA_TOL,
         "passed": passed,
         "notes": notes,
     }
@@ -233,12 +230,12 @@ class DenseOrbit:
     identity_error: float   # max |f(x_{k+1}) - x_k| along the orbit
 
 
-def _lookahead_score(m, cand, core, unc, radius, horizon):
+def _lookahead_score(m, cand, core, unc, radius):
     # (depth of first row reaching an uncovered target, closest approach)
     level = np.array([cand])
-    first = horizon + 1
+    first = _LOOKAHEAD + 1
     best = float(np.min(np.abs(unc[:, None] - level[None, :])))
-    for d in range(1, horizon + 1):
+    for d in range(1, _LOOKAHEAD + 1):
         level = m.preimages_array(level)
         level = level[(level >= core.lo - 1e-12) & (level <= core.hi + 1e-12)]
         if len(level) == 0:
@@ -254,12 +251,12 @@ def _lookahead_score(m, cand, core, unc, radius, horizon):
 
 
 def dense_backward_orbit(m: PiecewiseMap, delta: float,
-                         max_steps: int = 1_000_000, horizon: int = 8) -> DenseOrbit:
+                         max_steps: int = 1_000_000) -> DenseOrbit:
     """A single backward orbit that is delta-dense in the core [c_2, c_1].
 
     The core is covered by net points spaced delta apart; each step picks
     the in-core preimage that reaches an uncovered net point soonest within
-    the lookahead horizon.  Every step satisfies f(x_{k+1}) = x_k to 1e-9
+    _LOOKAHEAD preimage rows.  Every step satisfies f(x_{k+1}) = x_k to 1e-9
     by construction (preimages are closed-form branch inversions).
     """
     if delta <= 0:
@@ -290,7 +287,7 @@ def dense_backward_orbit(m: PiecewiseMap, delta: float,
         elif len(cands) == 1:
             pick = cands[0]
         else:
-            scores = [_lookahead_score(m, p, core, unc, radius, horizon) for p in cands]
+            scores = [_lookahead_score(m, p, core, unc, radius) for p in cands]
             pick = cands[int(np.argmin([s[0] * 1e6 + s[1] for s in scores]))]
         ident = max(ident, abs(m(pick) - x))
         pts.append(pick)

@@ -83,7 +83,7 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     h = 1.0 / n
     if not (math.isfinite(eps) and eps >= 1.5 * h):
         raise ValueError(f"eps={eps} must be finite and at least 1.5h={1.5 * h}: "
-                         "below that no edges are certifiable")
+                         f"below that no edges are certifiable ({eps / h:.3g} cell widths)")
     if m.domain.lo != 0.0 or m.domain.hi != 1.0:
         raise ValueError("oracle grid expects the unit interval domain")
     centers = (np.arange(n) + 0.5) * h
@@ -169,7 +169,8 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     and the reachability graph both come from this one graph.
     """
     if eps is None:
-        eps = 2 * (1.0 / n)         # two cell widths
+        # two cell widths; with n < 1 build_grid refuses the grid by name
+        eps = 2 * (1.0 / n) if n > 0 else 0.0
     g = build_grid(m, n, eps)
     h = g.h
     rec, lab = recurrent_cells(g)
@@ -314,10 +315,11 @@ def expansion_bound(m: PiecewiseMap, lo: float, hi: float) -> int:
     return math.ceil(2.0 * math.log(core / d) / math.log(s * s)) + cuts
 
 
-def expansion_time(m: PiecewiseMap, lo: float, hi: float, max_steps: Optional[int] = None) -> int:
+def expansion_time(m: PiecewiseMap, lo: float, hi: float) -> int:
     """Exact number of iterations until the image of [lo, hi] covers the
-    core [c_2, c_1].  Requires slope above sqrt(2): below that the map is
-    renormalizable and small intervals near the center never spread.
+    core [c_2, c_1], within the budget `expansion_bound`.  Requires slope
+    above sqrt(2): below that the map is renormalizable and small intervals
+    near the center never spread.
     """
     s = abs(m.slope_at(m.critical - 1e-9))
     if s * s <= 2.0 - 1e-12:
@@ -326,7 +328,7 @@ def expansion_time(m: PiecewiseMap, lo: float, hi: float, max_steps: Optional[in
     c2 = m(c1)
     if not (m.domain.lo <= lo < hi <= m.domain.hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    cap = max_steps if max_steps is not None else expansion_bound(m, lo, hi)
+    cap = expansion_bound(m, lo, hi)
     a, b = lo, hi
     for k in range(cap + 1):
         if a <= c2 + 1e-12 and b >= c1 - 1e-12:

@@ -34,6 +34,13 @@ from .structure import analytic_nodes, classify_attractor, tu_cycle, tu_nodes
 
 __all__ = ["main", "render_bifurcation", "band_count", "three_band_window"]
 
+# histogram of `band_count` and the defaults of `three_band_window`
+_TRANSIENT = 3000       # iterations per column before sampling
+_SAMPLES = 4000         # sampled iterations per column
+_BINS = 400             # bins over [0, 1]
+_SEED = 0               # seed of the start perturbation
+_MIN_OCCUPIED = 20      # fewest occupied bins of a three-band column
+
 
 def _build_map(args, parser) -> PiecewiseMap:
     if args.family == "tent":
@@ -242,8 +249,7 @@ def cmd_bifurcation(args, parser) -> int:
     return 0
 
 
-def band_count(family: str, param: float, transient: int = 3000,
-               samples: int = 4000, bins: int = 400, seed: int = 0):
+def band_count(family: str, param: float):
     """(number of occupied-bin clusters, occupied bin total) for one orbit.
 
     Clusters are runs of occupied bins separated by at least two empty
@@ -252,7 +258,7 @@ def band_count(family: str, param: float, transient: int = 3000,
     """
     base, to_scale = _family_base(family)
     counts = _orbit_histogram(base, np.array([to_scale(param)]),
-                              transient, samples, bins, seed)
+                              _TRANSIENT, _SAMPLES, _BINS, _SEED)
     return _bands(counts[:, 0])
 
 
@@ -265,15 +271,15 @@ def _bands(column):
 
 
 def three_band_window(lo: float, hi: float, step: float = 5e-4,
-                      transient: int = 3000, samples: int = 4000,
-                      bins: int = 400, min_occupied: int = 20):
+                      transient: int = _TRANSIENT, samples: int = _SAMPLES,
+                      bins: int = _BINS):
     """Maximal parameter run around mu=1 where the tu attractor shows three
     interval bands.  Returns (mu_lo, mu_hi) or None when 1 is not inside
     such a run."""
     mus = np.arange(lo, hi + step / 2, step)
     base, to_scale = _family_base("tu")
-    counts = _orbit_histogram(base, to_scale(mus), transient, samples, bins, seed=0)
-    good = [clusters == 3 and occupied >= min_occupied
+    counts = _orbit_histogram(base, to_scale(mus), transient, samples, bins, _SEED)
+    good = [clusters == 3 and occupied >= _MIN_OCCUPIED
             for clusters, occupied in map(_bands, counts.T)]
     anchor = int(np.argmin(np.abs(mus - 1.0)))
     if not good[anchor]:
@@ -319,15 +325,15 @@ def _parser() -> argparse.ArgumentParser:
                                 description="Qualitative dynamics of tent-like interval maps")
     sub = p.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes only the flags its handler reads
     def common(sp):
         sp.add_argument("--family", choices=["tent", "logistic", "tu"], default="tent")
         sp.add_argument("--s", type=float, help="tent slope parameter")
-        sp.add_argument("--mu", type=float, help="logistic or tu parameter")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("nodes", help="print the analytic node tower")
     common(sp)
+    sp.add_argument("--mu", type=float, help="logistic or tu parameter")
 
     sp = sub.add_parser("verify", help="oracle cross-check of the tower (tent family)")
     common(sp)
@@ -337,7 +343,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=24, help="backward tree depth")
 
     sp = sub.add_parser("bifurcation", help="render an attractor diagram (PGM + CSV)")
-    common(sp)
+    sp.add_argument("--family", choices=["tent", "logistic", "tu"], default="tent")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the start perturbation")
     sp.add_argument("--s-min", type=float, required=True)
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--columns", type=int, default=300)

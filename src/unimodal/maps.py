@@ -34,6 +34,8 @@ __all__ = [
 TU_BASE_MU = 3.854
 
 _DEDUP_TOL = 1e-12
+# Sample points per check of `PiecewiseMap.is_unimodal`, split over branches.
+_UNIMODAL_PROBES = 10**4
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ class PiecewiseMap:
             raise ValueError(f"no conjugate point for p={p}")
         return best
 
-    def is_unimodal(self, probes: int = 10**4):
+    def is_unimodal(self):
         """Check strict branch monotonicity and the fixed-boundary condition.
 
         Returns ("ok", None) or ("violation", x) with a witness point.
@@ -266,7 +268,7 @@ class PiecewiseMap:
             return ("violation", a)
         if abs(self._eval_scalar(self.domain.hi) - a) > 1e-9:
             return ("violation", self.domain.hi)
-        per = max(2, probes // max(1, len(self.branches)))
+        per = max(2, _UNIMODAL_PROBES // max(1, len(self.branches)))
         for b in self.branches:
             xs = np.linspace(b.domain.lo, b.domain.hi, per)
             vals = b(xs)
@@ -306,12 +308,14 @@ def make_logistic(mu: float) -> PiecewiseMap:
 def bisect_root(g, lo: float, hi: float, tol: float) -> float:
     """Midpoint of [lo, hi] after halving it, keeping a sign change of g,
     until it is shorter than tol (at most 200 halvings)."""
+    glo = g(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if g(lo) * g(mid) <= 0:
+        gmid = g(mid)
+        if glo * gmid <= 0:
             hi = mid
         else:
-            lo = mid
+            lo, glo = mid, gmid
         if hi - lo < tol:
             break
     return 0.5 * (lo + hi)
@@ -328,7 +332,8 @@ def _period3_cycle_of_base():
     period-3 cycles: one with multiplier < -1 inherited from the flip, and the
     band-bounding one with multiplier > +1.  The trapping construction needs
     the latter; we find all period-3 points by scanning sign changes of
-    l^3(x) - x and keep the positive-multiplier orbit.
+    l^3(x) - x and return the first orbit, in scan order, whose multiplier
+    exceeds 1.
     """
     def g(x):
         return _logistic_val(_logistic_val(_logistic_val(x))) - x
@@ -337,24 +342,10 @@ def _period3_cycle_of_base():
     vals = g(xs)
     roots = [bisect_root(g, xs[i], xs[i + 1], 1e-14)
              for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)]
-    # discard fixed points, group remaining roots into orbits
-    roots = [r for r in roots if abs(_logistic_val(r) - r) > 1e-6]
-    orbits = []
-    used = [False] * len(roots)
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        orbit = [r]
-        used[i] = True
-        x = r
-        for _ in range(2):
-            x = _logistic_val(x)
-            for j, rr in enumerate(roots):
-                if not used[j] and abs(rr - x) < 1e-8:
-                    used[j] = True
-            orbit.append(x)
-        orbits.append(orbit)
-    for orbit in orbits:
+    for r in roots:
+        if abs(_logistic_val(r) - r) <= 1e-6:
+            continue    # a fixed point
+        orbit = [r, _logistic_val(r), _logistic_val(_logistic_val(r))]
         lam = 1.0
         for x in orbit:
             lam *= TU_BASE_MU * (1.0 - 2.0 * x)

@@ -46,14 +46,6 @@ class TestBackwardTree:
         with pytest.raises(ValueError):
             build_backward_tree(make_tent(1.8), 1.2, 4)
 
-    def test_window_restricts_rows(self):
-        from unimodal import Interval
-
-        m = make_tent(2.0)
-        t = build_backward_tree(m, 0.5, 8, window=Interval(0.0, 0.5))
-        for k in range(1, 9):
-            assert np.all(t.row(k) <= 0.5 + 1e-12)
-
     def test_truncation_flag(self):
         # full binary tree at s=2 overflows the level cap past depth 17
         t = build_backward_tree(make_tent(2.0), 0.3, 20)

@@ -28,6 +28,11 @@ class TestGrid:
             with pytest.raises(ValueError, match="finite and at least 1.5h"):
                 build_grid(m, 1000, eps)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_default_eps_on_an_empty_grid_is_refused_by_name(self, n):
+        with pytest.raises(ValueError, match=f"grid too coarse: n={n} < 100"):
+            chain_classes(make_tent(1.5), n)
+
     def test_edge_slack_certifies_strict_interior(self):
         # at slack eps - h, a cell reaches exactly the cells whose centers
         # lie within eps - h of the image of its own center
@@ -182,9 +187,13 @@ class TestExpansion:
         assert expansion_bound(m, 0.5, 0.5001) > expansion_bound(m, 0.4, 0.6)
 
     def test_timeout_reported(self):
-        m = make_tent(1.5)
-        with pytest.raises(RuntimeError):
-            expansion_time(m, 0.45, 0.55, max_steps=1)
+        # verify's probe interval just above sqrt(2) outruns the budget
+        m = make_tent(1.414214)
+        c1 = m.peak
+        c2 = m(c1)
+        lo = c2 + 0.3 * (c1 - c2)
+        with pytest.raises(RuntimeError, match="within 37 steps"):
+            expansion_time(m, lo, lo + 1e-3)
 
 
 @settings(max_examples=25, deadline=None)

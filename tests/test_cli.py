@@ -130,6 +130,9 @@ class TestVerify:
         (["--n", "2000", "--eps", "inf"], "eps=inf must be finite and at least 1.5h=0.00075"),
         (["--n", "0"], "grid too coarse: n=0 < 100"),
         (["--n", "-5"], "grid too coarse: n=-5 < 100"),
+        (["--n", "2000", "--eps", "1.2"],
+         "eps=0.0006 must be finite and at least 1.5h=0.00075: "
+         "below that no edges are certifiable (1.2 cell widths)"),
     ])
     def test_bad_grid_input_exits_2_naming_the_limit(self, capsys, args, limit):
         code, out, err = run(["verify", "--s", "1.8"] + args, capsys)
@@ -137,12 +140,13 @@ class TestVerify:
         assert out == ""
         assert limit in err
 
-    def test_non_tent_family_exits_2(self):
+    def test_non_tent_family_exits_2(self, capsys):
         # the tu tower deliberately omits the Cantor repellor outside its
         # window, so a whole-domain oracle comparison would always mismatch
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--family", "tu", "--mu", "1.0"])
+            main(["verify", "--family", "tu"])
         assert exc.value.code == 2
+        assert "verify cross-checks are defined for the tent family only" in capsys.readouterr().err
 
     def test_boundary_slope_gets_the_single_band_tower(self, capsys):
         code, out, _ = run(["verify", "--s", "1.4142135623730951",
@@ -244,6 +248,27 @@ class TestBandCount:
 
     def test_three_band_window_is_unchanged(self):
         assert three_band_window(0.99, 1.005) == (0.9959999999999993, 1.0004999999999988)
+
+
+BIFURCATION = ["bifurcation", "--s-min", "1.3", "--s-max", "1.9", "--columns", "4",
+               "--transient", "10", "--samples", "10", "--bins", "16"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodes", "--s", "1.4", "--seed", "7"],
+    ["verify", "--s", "1.8", "--n", "20000", "--mu", "99"],
+    ["verify", "--s", "1.8", "--n", "20000", "--seed", "7"],
+    ["salpha", "--s", "1.4", "--x", "0.6", "--mu", "3"],
+    ["salpha", "--s", "1.4", "--x", "0.6", "--seed", "4"],
+    BIFURCATION + ["--s", "7"],
+    BIFURCATION + ["--mu", "9"],
+    BIFURCATION + ["--json"],
+])
+def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path):
+    # each of these runs otherwise valid: the flag alone is refused
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "d.pgm")] if argv[0] == "bifurcation" else argv)
+    assert exc.value.code == 2
 
 
 def test_installed_entry_point():
