@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -72,9 +71,6 @@ class GridGraph:
     @property
     def h(self) -> float:
         return 1.0 / self.n
-
-    def centers(self) -> np.ndarray:
-        return (np.arange(self.n) + 0.5) * self.h
 
 
 def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
@@ -262,21 +258,20 @@ class MatchReport:
 
 
 def match_nodes(nodes, cc: ChainClasses, tol: float) -> MatchReport:
-    """Best one-to-one pairing of analytic nodes against oracle classes.
+    """Pair analytic node k with oracle class k, shallowest first.
 
-    The assignment minimizes the summed Hausdorff distance between node
-    supports and class supports (cell-center hulls); it passes when the
-    counts agree and every paired distance is within tol.  A count mismatch
-    is reported, not raised.
+    Both towers come shallowest first: the nodes by index, the classes by
+    the maximum of f over each.  On a tent map the top of N_{k+1} lies in
+    f(J_1) = [max N_k, c_1], so the maximum of f rises along the analytic
+    tower too, and position alone pairs the two.  Each pair carries the
+    Hausdorff distance between the node support and the class support
+    (cell-center hulls); the match passes when the counts agree and every
+    distance is within tol.  A count mismatch is reported, not raised, and
+    its pairs are the positional prefix.
     """
     k_n, k_c = len(nodes), len(cc)
-    cost = np.zeros((k_n, k_c))
-    for a, nd in enumerate(nodes):
-        sup = nd.support()
-        for b in range(k_c):
-            cost[a, b] = hausdorff(sup, cc.support(b))
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple((int(a), int(b), float(cost[a, b])) for a, b in zip(rows, cols))
+    pairs = tuple((k, k, float(hausdorff(nd.support(), cc.support(k))))
+                  for k, nd in zip(range(k_c), nodes))
     mismatch = k_n != k_c
     worst = max((d for _, _, d in pairs), default=0.0)
     passed = (not mismatch) and worst <= tol

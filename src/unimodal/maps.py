@@ -58,9 +58,6 @@ class Interval:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def __iter__(self):
         yield self.lo
         yield self.hi

@@ -484,8 +484,9 @@ def classify_attractor(m: PiecewiseMap, nodes) -> str:
 def tu_cycle(m: PiecewiseMap) -> Cycle:
     """The continuation of the period-3 cycle for a u_mu map.
 
-    Searches the falling tent lap for the cycle point nearest c, widening
-    the bracket until f^3 - id changes sign.
+    Scans 600 points on each lap that touches the skeleton point p1 for
+    sign changes of f^3 - id, solves each bracket, and keeps the regular
+    period-3 orbit with a positive multiplier nearest the skeleton orbit.
     """
     sk = tu_skeleton()
     x0 = sk["p1"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from unimodal import (
     ChainClasses,
@@ -10,6 +11,7 @@ from unimodal import (
     conley_graph,
     expansion_bound,
     expansion_time,
+    hausdorff,
     make_tent,
     match_nodes,
     recurrent_cells,
@@ -158,6 +160,25 @@ class TestMatching:
 
         rep = match_nodes(analytic_nodes(1.8), chain_classes(make_tent(1.8), 10_000), tol=1e-3)
         json.dumps(rep.to_dict())
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(1.01, 2.0), n=st.sampled_from([20_000, 100_000]))
+def test_position_pairing_equals_min_cost_assignment(s, n):
+    """Both towers come shallowest first, so pairing by position is the
+    minimum-cost assignment on Hausdorff distance whenever the counts
+    agree; on a mismatch the pairs are the positional prefix."""
+    nodes = analytic_nodes(s)
+    cc = chain_classes(make_tent(s), n)
+    rep = match_nodes(nodes, cc, tol=4.0 / n)
+    if rep.count_mismatch:
+        assert not rep.passed
+        assert [p[:2] for p in rep.pairs] == [(k, k) for k in range(min(len(nodes), len(cc)))]
+        return
+    cost = np.array([[hausdorff(nd.support(), cc.support(b)) for b in range(len(cc))]
+                     for nd in nodes])
+    rows, cols = linear_sum_assignment(cost)
+    assert rep.pairs == tuple((int(a), int(b), float(cost[a, b])) for a, b in zip(rows, cols))
 
 
 class TestExpansion:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import unimodal
+from unimodal import cli
 from unimodal.cli import (_family_base, _orbit_histogram, band_count, main,
                           render_bifurcation, three_band_window)
 
@@ -57,6 +58,12 @@ class TestNodes:
             main(["nodes", "--family", "logistic"])
         assert exc.value.code == 2
 
+    def test_family_without_analytic_tower_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nodes", "--family", "logistic", "--mu", "3.7"])
+        assert exc.value.code == 2
+        assert "no analytic tower is available for the logistic family" in capsys.readouterr().err
+
     def test_unknown_family_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["nodes", "--family", "cubic", "--s", "1.5"])
@@ -96,6 +103,13 @@ class TestVerify:
         code, out, _ = run(["verify", "--s", "1.414214", "--n", "20000"], capsys)
         assert code == 1
         assert "FAIL expansion: core not covered within the budget of 37 steps" in out
+        assert "verification FAILED" in out
+
+    def test_two_way_conley_edges_fail_the_tower_with_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "conley_graph", lambda cc: [(0, 1), (1, 0)])
+        code, out, _ = run(["verify", "--s", "1.8", "--n", "20000"], capsys)
+        assert code == 1
+        assert "FAIL tower: classes 0 and 1 reach each other" in out
         assert "verification FAILED" in out
 
     def test_coarse_ladder_fails_with_exit_1(self, capsys):
@@ -200,6 +214,21 @@ class TestBifurcation:
             main(self.ARGS)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args,limit", [
+        (["--bins", "0"], "bins=0 must be at least 1"),
+        (["--columns", "0"], "columns=0 must be at least 1"),
+        (["--samples", "-1"], "samples=-1 must be at least 1"),
+        (["--family", "tent", "--s-max", "2.5"], "tent slope s=2.5 outside (0, 2]"),
+        (["--family", "logistic", "--s-min", "-1"], "logistic parameter mu=-1.0 outside (0, 4]"),
+    ])
+    def test_bad_input_exits_2_naming_the_limit(self, capsys, tmp_path, args, limit):
+        out_path = tmp_path / "diagram.pgm"
+        code, out, err = run(self.ARGS + args + ["--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert limit in err
+        assert not out_path.exists()
+
     def test_deterministic_given_seed(self):
         img1, _, _ = render_bifurcation("tent", 1.5, 1.9, 16, 200, 200, 64, seed=7)
         img2, _, _ = render_bifurcation("tent", 1.5, 1.9, 16, 200, 200, 64, seed=7)
@@ -279,3 +308,13 @@ def test_installed_entry_point():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "tent:2.0" in proc.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(unimodal.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, unimodal; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
