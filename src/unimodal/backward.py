@@ -11,8 +11,13 @@ every depth, and branches passing through [0, c_2) scatter transient points
 across the whole strip.  Neither kind is recurrent, so each candidate is
 kept only if a small interval around it returns over itself within a few
 forward steps; survivors are then clustered into intervals.  The return
-probe is one interval iteration over all candidates at once, through the
-map's closed-form `interval_image`.
+probe iterates the map's closed-form `interval_image`.  It bins the
+candidates by an eighth of the probe radius and brackets each bin: an inner
+interval inside every member's probe and an outer one holding them all.
+A bin whose inner image covers it keeps every member, one whose outer image
+never meets it drops every member, and only the members of the few bins
+left open are probed one by one, so the verdicts are exactly the per-point
+ones.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ _DEGENERATE = 10
 # radius is kept distinctly smaller than the clustering gap.
 _RETURN_STEPS = 40      # forward steps of the return probe
 _PROBE_RADIUS = 2e-3
+_BRACKET_PAD = 1e-12    # float slack of a bin's bracket per step (_DEDUP_TOL)
 _CLUSTER_GAP = 5e-3
 _SALPHA_TOL = 0.02      # Hausdorff distance at which an estimate passes
 _LOOKAHEAD = 8          # preimage rows a dense-orbit step looks ahead
@@ -103,12 +109,8 @@ def build_backward_tree(m: PiecewiseMap, x: float, depth: int) -> BackwardTree:
 # return probe
 # ---------------------------------------------------------------------------
 
-def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
-    """True where the forward orbit of [y-r, y+r] comes back over y.
-
-    Iterates the interval images of all the probes at once, for up to
-    _RETURN_STEPS forward steps.
-    """
+def _returns_each(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
+    # one probe per point, all iterated at once
     lo = np.clip(ys - r, m.domain.lo, m.domain.hi)
     hi = np.clip(ys + r, m.domain.lo, m.domain.hi)
     acc = np.zeros(len(ys), bool)
@@ -120,6 +122,57 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     return acc
 
 
+def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
+    """True where the forward orbit of [y-r, y+r] comes back over y, within
+    _RETURN_STEPS forward steps.
+
+    The points are binned by width r/8.  A bin [b0, b1] is settled by two
+    probes: the inner [b1-r, b0+r] lies in every member's probe and the
+    outer [b0-r, b1+r] holds every member's probe.  If the inner image
+    covers [b0, b1] at some step, every member returns; if the outer image
+    never meets it, none does.  Only the members of the remaining bins are
+    probed one by one, so the mask is the per-point one, bit for bit.
+    """
+    if len(ys) == 0:
+        return np.zeros(0, bool)
+    order = np.argsort(ys, kind="stable")
+    ys = ys[order]
+    key = np.floor(ys / (r / 8.0))
+    first = np.r_[True, key[1:] != key[:-1]]
+    starts = np.flatnonzero(first)
+    b0, b1 = ys[starts], ys[np.r_[starts[1:], len(ys)] - 1]
+    lo, hi = m.domain.lo, m.domain.hi
+    ilo, ihi = np.clip(b1 - r, lo, hi), np.clip(b0 + r, lo, hi)
+    olo, ohi = np.clip(b0 - r, lo, hi), np.clip(b1 + r, lo, hi)
+    # interval_image is the hull of f at both ends plus the peak, so it keeps
+    # inclusion while f is monotone on each side of c and maps the domain into
+    # itself.  Both hold exactly in floats on the tent map; on tu and logistic
+    # f is monotone only to a few ulps (2.2e-16 at tu's cuts), so each step
+    # pads the outer image out and the inner in by _BRACKET_PAD, within the
+    # domain.  An inner probe that the padding empties is dropped for good.
+    alive = ilo <= ihi
+    every = np.zeros(len(b0), bool)
+    met = np.zeros(len(b0), bool)
+    for _ in range(_RETURN_STEPS):
+        ilo, ihi = m.interval_image(ilo, ihi)
+        ilo, ihi = ilo + _BRACKET_PAD, ihi - _BRACKET_PAD
+        alive &= ilo <= ihi
+        ilo, ihi = np.clip(ilo, lo, hi), np.clip(ihi, lo, hi)
+        every |= alive & (ilo <= b0) & (b1 <= ihi)
+        olo, ohi = m.interval_image(olo, ohi)
+        olo, ohi = np.clip(olo - _BRACKET_PAD, lo, hi), np.clip(ohi + _BRACKET_PAD, lo, hi)
+        met |= (olo <= b1) & (b0 <= ohi)
+        if every.all():
+            break
+    bin_of = np.cumsum(first) - 1
+    acc = every[bin_of]
+    open_ = np.flatnonzero((met & ~every)[bin_of])
+    acc[open_] = _returns_each(m, ys[open_], r)
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # s-alpha estimation and prediction
 # ---------------------------------------------------------------------------
@@ -129,9 +182,10 @@ class SAlphaEstimate:
     x: float
     depth: int
     intervals: tuple
-    n_points: int
+    n_points: int           # candidates the return probe kept
     degenerate: bool        # fewer than 10 surviving points
     truncated: bool
+    candidates: int         # deep points the return probe saw
 
 
 def _cluster(points: np.ndarray, gap: float):
@@ -150,10 +204,11 @@ def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     """
     tree = build_backward_tree(m, x, depth)
     pts = tree.deep_points(depth // 2)
-    keep = _returns_mask(m, pts, _PROBE_RADIUS)
-    pts = pts[keep]
+    candidates = len(pts)
+    pts = pts[_returns_mask(m, pts, _PROBE_RADIUS)]
     ivs = tuple(_cluster(pts, _CLUSTER_GAP))
-    return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, tree.truncated)
+    return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, tree.truncated,
+                          candidates)
 
 
 @dataclass(frozen=True)
@@ -214,6 +269,9 @@ def compare_salpha(s: float, x: float, depth: int = 30) -> dict:
         "tol": _SALPHA_TOL,
         "passed": passed,
         "notes": notes,
+        "candidates": est.candidates,
+        "kept": est.n_points,
+        "truncated": est.truncated,
     }
 
 

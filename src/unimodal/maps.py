@@ -151,9 +151,7 @@ class PiecewiseMap:
         idx = np.searchsorted(self._cuts, x, side="right")
         out = np.empty_like(x)
         for i, b in enumerate(self.branches):
-            m = idx == i
-            if m.any():
-                out[m] = b(x[m])
+            np.copyto(out, b(x), where=idx == i)
         return out
 
     def _eval_scalar(self, x: float) -> float:

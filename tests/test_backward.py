@@ -13,7 +13,8 @@ from unimodal import (
     predicted_salpha,
     salpha,
 )
-from unimodal.backward import _returns_mask
+import unimodal.backward as backward
+from unimodal.backward import _returns_each, _returns_mask
 
 
 class TestBackwardTree:
@@ -77,9 +78,43 @@ class TestReturnProbe:
         got = _returns_mask(m, ys, r)
         assert got.tolist() == reference_returns(m, ys, r).tolist()
 
+    @pytest.mark.parametrize("m", [make_tent(1.05), make_tent(1.4), make_tent(1.8),
+                                   make_tent(2.0), make_tu(1.0), make_tu(1.003),
+                                   make_logistic(3.9)],
+                             ids=lambda m: m.label.split("|")[0])
+    @pytest.mark.parametrize("r", [2e-3, 1e-5])
+    def test_clustered_points_match_per_point_reference(self, m, r):
+        # many points per bin of the bracket, the domain ends and c, unsorted
+        rng = np.random.default_rng(11)
+        centres = rng.uniform(0.0, 1.0, 20)
+        ys = (centres[:, None] + rng.uniform(-r / 8, r / 8, (20, 100))).ravel()
+        ys = rng.permutation(np.r_[np.clip(ys, 0.0, 1.0), 0.0, 1.0, m.critical])
+        got = _returns_mask(m, ys, r)
+        assert got.tolist() == reference_returns(m, ys, r).tolist()
+
     def test_empty_points(self):
         out = _returns_mask(make_tu(1.0), np.empty(0), 2e-3)
         assert out.dtype == bool and out.shape == (0,)
+
+    def test_few_points_reach_the_per_point_probe(self, monkeypatch):
+        seen = []
+
+        def spy(m, ys, r):
+            seen.append(len(ys))
+            return _returns_each(m, ys, r)
+
+        monkeypatch.setattr(backward, "_returns_each", spy)
+        est = salpha(make_tent(1.8), 0.5, depth=24)
+        assert est.candidates > 1_000_000
+        assert sum(seen) < 0.01 * est.candidates
+
+
+@settings(max_examples=15, deadline=None)
+@given(s=st.floats(1.0, 2.0, exclude_min=True))
+def test_bracketed_probe_equals_per_point_probe(s):
+    m = make_tent(s)
+    ys = build_backward_tree(m, 0.5, 20).deep_points(10)
+    assert np.array_equal(_returns_mask(m, ys, 2e-3), _returns_each(m, ys, 2e-3))
 
 
 class TestPrediction:
@@ -126,6 +161,13 @@ class TestEstimate:
             rep = compare_salpha(s, x, depth=30)
             assert rep["level"] == level
             assert rep["passed"], rep
+
+    def test_compare_reports_what_the_probe_saw(self):
+        rep = compare_salpha(2.0, 0.5, depth=20)
+        assert rep["truncated"] is True
+        assert 0 < rep["kept"] <= rep["candidates"]
+        est = salpha(make_tent(2.0), 0.5, depth=20)
+        assert (rep["candidates"], rep["kept"]) == (est.candidates, est.n_points)
 
     def test_compare_empty_sides_agree(self):
         rep = compare_salpha(1.8, 0.95, depth=12)
