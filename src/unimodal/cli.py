@@ -168,9 +168,22 @@ def _family_base(family: str):
     return make(p0), lambda p: p / p0
 
 
+def _check_histogram(*, columns=1, transient=0, samples=1, bins=1, step=1.0):
+    """Refuse a histogram setting past its limit, naming it: at least one
+    column, sample and bin, no negative transient, a positive scan step.
+    The defaults are the limits, so a caller passes what it sets."""
+    for name, value, least in (("columns", columns, 1), ("transient", transient, 0),
+                               ("samples", samples, 1), ("bins", bins, 1)):
+        if value < least:
+            raise ValueError(f"{name}={value} must be at least {least}")
+    if not step > 0.0:
+        raise ValueError(f"step={step} must be positive")
+
+
 def _orbit_histogram(base, scales, transient, samples, bins, seed):
     # One start for every column, the one a single-column call draws, so
     # column j equals a call with scales[j] alone.
+    _check_histogram(columns=len(scales), transient=transient, samples=samples, bins=bins)
     x0 = base.critical + np.random.default_rng(seed).uniform(-1e-9, 1e-9, 1)
     x = np.repeat(np.clip(x0, 0.0, 1.0), len(scales))
     counts = np.zeros((bins, len(scales)), dtype=np.int64)
@@ -180,7 +193,7 @@ def _orbit_histogram(base, scales, transient, samples, bins, seed):
     for _ in range(samples):
         x = scales * base(x)
         rows = np.clip((x * bins).astype(np.int64), 0, bins - 1)
-        np.add.at(counts, (rows, cols), 1)
+        counts[rows, cols] += 1     # one row per column: no index repeats
     return counts
 
 
@@ -193,9 +206,7 @@ def render_bifurcation(family: str, lo: float, hi: float, columns: int,
     maps column index to the continued repelling-cycle points.  The family's
     constructor refuses lo or hi outside its parameter range by name.
     """
-    for name, count in (("columns", columns), ("samples", samples), ("bins", bins)):
-        if count < 1:
-            raise ValueError(f"{name}={count} must be at least 1")
+    _check_histogram(columns=columns)    # before linspace reads it
     make = _FAMILIES[family][0]
     make(lo), make(hi)
     base, to_scale = _family_base(family)
@@ -274,6 +285,7 @@ def three_band_window(lo: float, hi: float, step: float = 5e-4,
     """Maximal parameter run around mu=1 where the tu attractor shows three
     interval bands.  Returns (mu_lo, mu_hi) or None when 1 is not inside
     such a run."""
+    _check_histogram(step=step)          # before arange reads it
     mus = np.arange(lo, hi + step / 2, step)
     base, to_scale = _family_base("tu")
     counts = _orbit_histogram(base, to_scale(mus), transient, samples, bins, _SEED)

@@ -3,6 +3,8 @@
 Builds the three map families used throughout the package (tent, logistic,
 and the tent-with-linear-inserts family ``u_mu``), evaluates them on scalars
 or arrays, inverts single branches in closed form, and validates unimodality.
+Scalar and array calls find the branch of a point the same way and apply
+the same arithmetic to it, so they agree bit for bit.
 
 Every map constructed here has a single interior maximum at ``critical`` and
 fixes the lower boundary: f(a) = f(b) = a.  Maps are immutable after
@@ -11,6 +13,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -111,7 +114,12 @@ class PiecewiseMap:
 
     Branches partition the domain, the direction flips exactly once (at
     ``critical``), and the boundary is fixed: f(a) = f(b) = a.  Instances
-    evaluate on scalars and numpy arrays alike.
+    evaluate on scalars and numpy arrays alike.  A point belongs to the
+    branch right of every interior joint at or below it, found by one
+    bisection for a scalar and one ``searchsorted`` for an array.  An array
+    call then reads per-branch coefficient tables: slope*x + intercept,
+    and a*x*(1-x) on the points of quad branches, the same operations in
+    the same order as ``Branch.__call__``, so both calls agree bit for bit.
     """
 
     def __init__(self, branches, domain: Interval, critical: float, label: str):
@@ -119,8 +127,17 @@ class PiecewiseMap:
         self.domain = domain
         self.critical = critical
         self.label = label
-        # breakpoints for vectorized branch lookup: interior joints only
-        self._cuts = np.array([b.domain.hi for b in self.branches[:-1]])
+        # interior joints: a list for the scalar bisection, an array for
+        # the vectorized lookup
+        self._cuts = [b.domain.hi for b in self.branches[:-1]]
+        self._cut_array = np.array(self._cuts)
+        # coefficient tables of the array path; a quad branch has slope and
+        # intercept 0, an affine one quad coefficient 0
+        quad = [b.shape[0] == "quad" for b in self.branches]
+        self._slope = np.array([0.0 if q else b.shape[1] for q, b in zip(quad, self.branches)])
+        self._icpt = np.array([0.0 if q else b.shape[2] for q, b in zip(quad, self.branches)])
+        self._qa = np.array([b.shape[1] if q else 0.0 for q, b in zip(quad, self.branches)])
+        self._quad = np.array(quad) if any(quad) else None
         self._validate()
 
     def _validate(self):
@@ -145,20 +162,19 @@ class PiecewiseMap:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
-        if np.ndim(x) == 0:
+        if isinstance(x, float) or np.ndim(x) == 0:
             return self._eval_scalar(float(x))
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._cuts, x, side="right")
-        out = np.empty_like(x)
-        for i, b in enumerate(self.branches):
-            np.copyto(out, b(x), where=idx == i)
+        idx = np.searchsorted(self._cut_array, x, side="right")
+        out = self._slope[idx] * x + self._icpt[idx]
+        if self._quad is not None:
+            np.copyto(out, self._qa[idx] * x * (1.0 - x), where=self._quad[idx])
         return out
 
     def _eval_scalar(self, x: float) -> float:
         if not self.domain.contains(x, tol=1e-12):
             raise ValueError(f"x={x} outside domain [{self.domain.lo}, {self.domain.hi}]")
-        i = int(np.searchsorted(self._cuts, x, side="right"))
-        return float(self.branches[i](x))
+        return float(self.branches[bisect.bisect_right(self._cuts, x)](x))
 
     def iterate(self, x, n: int):
         """n-fold composition f^n(x)."""
@@ -167,7 +183,7 @@ class PiecewiseMap:
         return x
 
     def branch_index(self, x: float) -> int:
-        return int(np.searchsorted(self._cuts, x, side="right"))
+        return bisect.bisect_right(self._cuts, x)
 
     def slope_at(self, x: float) -> float:
         return float(self.branches[self.branch_index(x)].slope_at(x))
@@ -384,11 +400,13 @@ def make_tu(mu: float) -> PiecewiseMap:
     the base map on J2 = [p2, q2] and J3 = [q3, p3], and is the symmetric tent
     on J1 = [q1, p1] with the same peak value.  At mu = 1 the period-3 cycle
     p1 -> p2 -> p3 survives with a positive multiplier.  The maximal mu keeps
-    the peak at exactly 1.
+    the peak at 1: a larger mu is refused, as its peak would exceed 1 and
+    the map would leave [0, 1].
     """
     mu_max = 4.0 / TU_BASE_MU
-    if not 0.0 <= mu <= mu_max + 1e-12:
-        raise ValueError(f"tu parameter mu={mu} outside [0, {mu_max}]")
+    if not 0.0 <= mu <= mu_max:
+        raise ValueError(f"tu parameter mu={mu} outside [0, {mu_max}], "
+                         f"where the peak stays at most 1")
     k = tu_skeleton()
     p1, p2, p3 = k["p1"], k["p2"], k["p3"]
     q1, q2, q3 = k["q1"], k["q2"], k["q3"]

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +222,11 @@ class TestBifurcation:
         (["--samples", "-1"], "samples=-1 must be at least 1"),
         (["--family", "tent", "--s-max", "2.5"], "tent slope s=2.5 outside (0, 2]"),
         (["--family", "logistic", "--s-min", "-1"], "logistic parameter mu=-1.0 outside (0, 4]"),
+        (["--samples", "0"], "samples=0 must be at least 1"),
+        (["--transient", "-1"], "transient=-1 must be at least 0"),
+        (["--columns", "-3"], "columns=-3 must be at least 1"),
+        (["--family", "tu", "--s-min", "1.0", "--s-max", "1.0378827192537246"],
+         "where the peak stays at most 1"),
     ])
     def test_bad_input_exits_2_naming_the_limit(self, capsys, tmp_path, args, limit):
         out_path = tmp_path / "diagram.pgm"
@@ -277,6 +284,67 @@ class TestBandCount:
 
     def test_three_band_window_is_unchanged(self):
         assert three_band_window(0.99, 1.005) == (0.9959999999999993, 1.0004999999999988)
+
+    @pytest.mark.parametrize("kwargs,limit", [
+        ({"step": 0.0}, "step=0.0 must be positive"),
+        ({"step": -1e-3}, "step=-0.001 must be positive"),
+        ({"step": math.nan}, "step=nan must be positive"),
+        ({"bins": 0}, "bins=0 must be at least 1"),
+        ({"samples": 0}, "samples=0 must be at least 1"),
+        ({"transient": -1}, "transient=-1 must be at least 0"),
+    ])
+    def test_scan_refuses_a_setting_past_its_limit(self, kwargs, limit):
+        with pytest.raises(ValueError, match=re.escape(limit)):
+            three_band_window(0.99, 1.005, **kwargs)
+
+    @pytest.mark.parametrize("kwargs,limit", [
+        ({"columns": 0}, "columns=0 must be at least 1"),
+        ({"columns": -2}, "columns=-2 must be at least 1"),
+        ({"transient": -1}, "transient=-1 must be at least 0"),
+        ({"samples": 0}, "samples=0 must be at least 1"),
+        ({"bins": 0}, "bins=0 must be at least 1"),
+    ])
+    def test_render_refuses_a_setting_past_its_limit(self, kwargs, limit):
+        args = {"columns": 4, "transient": 10, "samples": 10, "bins": 16, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(limit)):
+            render_bifurcation("tu", 0.99, 1.005, **args)
+
+    def test_band_count_shares_the_check(self, monkeypatch):
+        # band_count's settings are module constants; the histogram it
+        # runs refuses them by the same check as the render and the scan
+        monkeypatch.setattr(cli, "_SAMPLES", 0)
+        with pytest.raises(ValueError, match="samples=0 must be at least 1"):
+            band_count("tu", 1.0)
+
+
+def reference_histogram(base, scales, transient, samples, bins, seed):
+    # The orbit histogram accumulated with np.add.at, which is correct
+    # whether or not an index repeats.
+    x0 = base.critical + np.random.default_rng(seed).uniform(-1e-9, 1e-9, 1)
+    x = np.repeat(np.clip(x0, 0.0, 1.0), len(scales))
+    counts = np.zeros((bins, len(scales)), dtype=np.int64)
+    cols = np.arange(len(scales))
+    for _ in range(transient):
+        x = scales * base(x)
+    for _ in range(samples):
+        x = scales * base(x)
+        rows = np.clip((x * bins).astype(np.int64), 0, bins - 1)
+        np.add.at(counts, (rows, cols), 1)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("family,params", [
+    ("tent", [1.7]), ("tent", np.linspace(1.0, 2.0, 40)),
+    ("logistic", [3.9]), ("logistic", np.linspace(2.8, 4.0, 40)),
+    ("tu", [1.0]), ("tu", np.linspace(0.95, 4.0 / 3.854, 40)),
+])
+def test_orbit_histogram_equals_add_at_reference(family, params, seed):
+    base, to_scale = _family_base(family)
+    scales = to_scale(np.asarray(params, dtype=float))
+    got = _orbit_histogram(base, scales, 100, 400, 64, seed)
+    assert np.array_equal(got, reference_histogram(base, scales, 100, 400, 64, seed))
+    assert (got.sum(axis=0) == 400).all()
 
 
 BIFURCATION = ["bifurcation", "--s-min", "1.3", "--s-max", "1.9", "--columns", "4",

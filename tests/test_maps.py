@@ -15,6 +15,7 @@ from unimodal import (
     subtract_intervals,
     tu_skeleton,
 )
+from unimodal.maps import TU_BASE_MU
 
 
 def reference_interval_image(m, lo, hi):
@@ -129,7 +130,7 @@ class TestTentFamily:
         out = m(xs)
         assert out.shape == xs.shape
         for x, y in zip(xs, out):
-            assert y == pytest.approx(m(float(x)), abs=1e-15)
+            assert y == m(float(x))
 
     def test_iterate_composes(self):
         m = make_tent(1.9)
@@ -233,6 +234,22 @@ class TestTuFamily:
         with pytest.raises(ValueError):
             make_tu(1.2)
 
+    def test_parameter_past_unit_peak_is_refused(self):
+        # the peak of mu_max + 1e-12 is 1.0000000000009637: the map would
+        # leave [0, 1]
+        mu_max = 4.0 / TU_BASE_MU
+        with pytest.raises(ValueError, match=r"outside \[0, 1.0378827192527245\], "
+                                             r"where the peak stays at most 1"):
+            make_tu(mu_max + 1e-12)
+        with pytest.raises(ValueError, match="where the peak stays at most 1"):
+            make_tu(float(np.nextafter(mu_max, 2.0)))
+
+    def test_every_accepted_parameter_keeps_the_peak_in_the_domain(self):
+        mu_max = 4.0 / TU_BASE_MU
+        near_max = [float(mu_max - k * np.spacing(mu_max)) for k in range(200)]
+        for mu in near_max + np.linspace(0.0, mu_max, 101).tolist():
+            assert make_tu(mu).peak <= 1.0, mu
+
     def test_chord_is_affine_on_insert(self):
         # on [q3, p3] the map is a straight chord: midpoint value matches
         u = make_tu(1.0)
@@ -310,3 +327,41 @@ def test_interval_image_matches_branch_walk(family, data, ends):
 def test_interval_image_rejects_points_outside_the_domain():
     with pytest.raises(ValueError):
         make_tent(1.8).interval_image(0.2, 1.5)
+
+
+def reference_branch_index(m, x):
+    return np.searchsorted([b.domain.hi for b in m.branches[:-1]], x, side="right")
+
+
+def reference_eval(m, x):
+    # Per-branch loop: every branch evaluated on the whole array, its own
+    # points selected with copyto.
+    x = np.asarray(x, dtype=float)
+    idx = reference_branch_index(m, x)
+    out = np.empty_like(x)
+    for i, b in enumerate(m.branches):
+        np.copyto(out, b(x), where=idx == i)
+    return out
+
+
+_EVAL_FAMILIES = {
+    "tent": (make_tent, st.floats(0.0, 2.0, exclude_min=True)),
+    "logistic": (make_logistic, st.floats(0.0, 4.0, exclude_min=True)),
+    "tu": (make_tu, st.floats(0.0, 4.0 / TU_BASE_MU)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(sorted(_EVAL_FAMILIES)), data=st.data(),
+       drawn=st.lists(st.floats(0.0, 1.0), max_size=50))
+def test_array_eval_is_the_branch_loop_and_the_scalar_call_bit_for_bit(family, data, drawn):
+    """The table-driven array call equals the per-branch loop exactly, and
+    every element equals the scalar call, on drawn points, every joint, the
+    critical point and both ends of the domain."""
+    make, params = _EVAL_FAMILIES[family]
+    m = make(data.draw(params))
+    xs = np.array(drawn + [e for b in m.branches for e in b.domain] + [m.critical, 0.0, 1.0])
+    got = m(xs)
+    assert np.array_equal(got, reference_eval(m, xs))
+    assert got.tolist() == [m(float(x)) for x in xs]
+    assert [m.branch_index(float(x)) for x in xs] == reference_branch_index(m, xs).tolist()
