@@ -15,9 +15,10 @@ probe iterates the map's closed-form `interval_image`.  It bins the
 candidates by an eighth of the probe radius and brackets each bin: an inner
 interval inside every member's probe and an outer one holding them all.
 A bin whose inner image covers it keeps every member, one whose outer image
-never meets it drops every member, and only the members of the few bins
-left open are probed one by one, so the verdicts are exactly the per-point
-ones.
+never meets it drops every member, and the members of the few bins left
+open go through the same bracket loop one by one with no pad, where inner
+and outer are both the point's own probe, so the verdicts are exactly the
+per-point ones.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import Interval, PiecewiseMap, hausdorff, make_tent
-from .structure import analytic_nodes, classify_point
+from .structure import _attractor_intervals, analytic_nodes, classify_point
 
 __all__ = [
     "BackwardTree",
@@ -109,29 +110,46 @@ def build_backward_tree(m: PiecewiseMap, x: float, depth: int) -> BackwardTree:
 # return probe
 # ---------------------------------------------------------------------------
 
-def _returns_each(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
-    # one probe per point, all iterated at once
-    lo = np.clip(ys - r, m.domain.lo, m.domain.hi)
-    hi = np.clip(ys + r, m.domain.lo, m.domain.hi)
-    acc = np.zeros(len(ys), bool)
+def _brackets(m: PiecewiseMap, b0: np.ndarray, b1: np.ndarray, r: float, pad: float):
+    """Settle brackets [b0, b1] by iterating two probes each for
+    _RETURN_STEPS forward steps: the inner [b1-r, b0+r] and the outer
+    [b0-r, b1+r].
+
+    Returns (every, met): every is True where the inner image covered
+    [b0, b1] at some step, met where the outer image met it.  Each step pads
+    the outer image out and the inner in by pad, within the domain; an inner
+    probe that the padding empties is dropped for good.  With b0 = b1 = y
+    and no pad both probes are [y-r, y+r], and every is y's own verdict.
+    """
+    lo, hi = m.domain.lo, m.domain.hi
+    ilo, ihi = np.clip(b1 - r, lo, hi), np.clip(b0 + r, lo, hi)
+    olo, ohi = np.clip(b0 - r, lo, hi), np.clip(b1 + r, lo, hi)
+    alive = ilo <= ihi
+    every = np.zeros(len(b0), bool)
+    met = np.zeros(len(b0), bool)
     for _ in range(_RETURN_STEPS):
-        lo, hi = m.interval_image(lo, hi)
-        acc |= (lo <= ys) & (ys <= hi)
-        if acc.all():
+        ilo, ihi = m.interval_image(ilo, ihi)
+        ilo, ihi = ilo + pad, ihi - pad
+        alive &= ilo <= ihi
+        ilo, ihi = np.clip(ilo, lo, hi), np.clip(ihi, lo, hi)
+        every |= alive & (ilo <= b0) & (b1 <= ihi)
+        olo, ohi = m.interval_image(olo, ohi)
+        olo, ohi = np.clip(olo - pad, lo, hi), np.clip(ohi + pad, lo, hi)
+        met |= (olo <= b1) & (b0 <= ohi)
+        if every.all():
             break
-    return acc
+    return every, met
 
 
 def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     """True where the forward orbit of [y-r, y+r] comes back over y, within
     _RETURN_STEPS forward steps.
 
-    The points are binned by width r/8.  A bin [b0, b1] is settled by two
-    probes: the inner [b1-r, b0+r] lies in every member's probe and the
-    outer [b0-r, b1+r] holds every member's probe.  If the inner image
-    covers [b0, b1] at some step, every member returns; if the outer image
-    never meets it, none does.  Only the members of the remaining bins are
-    probed one by one, so the mask is the per-point one, bit for bit.
+    The points are binned by width r/8 and each bin [b0, b1] is bracketed.
+    If its inner image covers the bin at some step, every member returns;
+    if its outer image never meets it, none does.  The members of the
+    remaining bins go through the same bracket loop one by one, with no
+    pad, so the mask is the per-point one, bit for bit.
     """
     if len(ys) == 0:
         return np.zeros(0, bool)
@@ -141,33 +159,15 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     first = np.r_[True, key[1:] != key[:-1]]
     starts = np.flatnonzero(first)
     b0, b1 = ys[starts], ys[np.r_[starts[1:], len(ys)] - 1]
-    lo, hi = m.domain.lo, m.domain.hi
-    ilo, ihi = np.clip(b1 - r, lo, hi), np.clip(b0 + r, lo, hi)
-    olo, ohi = np.clip(b0 - r, lo, hi), np.clip(b1 + r, lo, hi)
     # interval_image is the hull of f at both ends plus the peak, so it keeps
     # inclusion while f is monotone on each side of c and maps the domain into
     # itself.  Both hold exactly in floats on the tent map; on tu and logistic
-    # f is monotone only to a few ulps (2.2e-16 at tu's cuts), so each step
-    # pads the outer image out and the inner in by _BRACKET_PAD, within the
-    # domain.  An inner probe that the padding empties is dropped for good.
-    alive = ilo <= ihi
-    every = np.zeros(len(b0), bool)
-    met = np.zeros(len(b0), bool)
-    for _ in range(_RETURN_STEPS):
-        ilo, ihi = m.interval_image(ilo, ihi)
-        ilo, ihi = ilo + _BRACKET_PAD, ihi - _BRACKET_PAD
-        alive &= ilo <= ihi
-        ilo, ihi = np.clip(ilo, lo, hi), np.clip(ihi, lo, hi)
-        every |= alive & (ilo <= b0) & (b1 <= ihi)
-        olo, ohi = m.interval_image(olo, ohi)
-        olo, ohi = np.clip(olo - _BRACKET_PAD, lo, hi), np.clip(ohi + _BRACKET_PAD, lo, hi)
-        met |= (olo <= b1) & (b0 <= ohi)
-        if every.all():
-            break
+    # f is monotone only to a few ulps (2.2e-16 at tu's cuts), hence the pad.
+    every, met = _brackets(m, b0, b1, r, _BRACKET_PAD)
     bin_of = np.cumsum(first) - 1
     acc = every[bin_of]
     open_ = np.flatnonzero((met & ~every)[bin_of])
-    acc[open_] = _returns_each(m, ys[open_], r)
+    acc[open_] = _brackets(m, ys[open_], ys[open_], r, 0.0)[0]
     out = np.empty_like(acc)
     out[order] = acc
     return out
@@ -319,9 +319,8 @@ def dense_backward_orbit(m: PiecewiseMap, delta: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    c1 = m.peak
-    c2 = m(c1)
-    core = Interval(c2, c1)
+    core = _attractor_intervals(m, 1)[0]
+    c2, c1 = core
     net = np.arange(c2 + delta / 2.0, c1, delta)
     if len(net) == 0:
         net = np.array([(c2 + c1) / 2.0])

@@ -286,6 +286,8 @@ def three_band_window(lo: float, hi: float, step: float = 5e-4,
     interval bands.  Returns (mu_lo, mu_hi) or None when 1 is not inside
     such a run."""
     _check_histogram(step=step)          # before arange reads it
+    if lo > hi:
+        raise ValueError(f"lo={lo} must not exceed hi={hi}")
     mus = np.arange(lo, hi + step / 2, step)
     base, to_scale = _family_base("tu")
     counts = _orbit_histogram(base, to_scale(mus), transient, samples, bins, _SEED)

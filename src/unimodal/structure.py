@@ -106,9 +106,10 @@ class CoreCollection:
 class LevelPartition:
     """The sets U_{-1}, U_0, ..., U_p keyed by level.
 
-    Stored intervals are closed hulls; exact boundary membership follows the
-    conventions implemented by classify_point (cores closed, U_0 right-open,
-    U_{-1} left-open).
+    Stored intervals are closed hulls, so neighbouring levels share their
+    endpoints.  classify_point reads the level of a point off this partition
+    as the deepest level holding it, which keeps the cores closed, U_0
+    right-open and U_{-1} left-open.
     """
 
     s: float
@@ -171,7 +172,7 @@ def tent_parameter(m: PiecewiseMap) -> float:
     """Recover s from a tent map; rejects other families."""
     if not m.label.startswith("tent:"):
         raise ValueError(f"expected a tent map, got {m.label}")
-    return float(m.branches[0].shape[1])
+    return m.slope_at(m.domain.lo)
 
 
 def renormalize(m: PiecewiseMap) -> Renormalization:
@@ -220,7 +221,9 @@ def _cascade_point(s: float, k: int) -> float:
 
 
 def _attractor_intervals(m: PiecewiseMap, r: int):
-    """The 2^(p-1)-cycle of core intervals, J-order: [c_2r, c_r] first."""
+    """The r core intervals read off the critical orbit, J-order: [c_2r, c_r]
+    first, then [c_{r+j-1}, c_{j-1}].  The one builder of cores: r = 1 gives
+    the core [c_2, c_1], r = 2^(p-1) the attractor's cycle of intervals."""
     orb = critical_orbit(m, 2 * r)
     c = lambda k: orb[k - 1]
     ivs = [Interval(min(c(2 * r), c(r)), max(c(2 * r), c(r)))]
@@ -334,8 +337,7 @@ def core_of_node(m: PiecewiseMap, node: Node, region: Optional[TrappingRegion] =
     """
     if node.kind == "interval_cycle_attractor":
         if node.index == 0:
-            orb = critical_orbit(m, 2)
-            return CoreCollection((Interval(min(orb[1], orb[0]), max(orb[1], orb[0])),), False)
+            return CoreCollection(tuple(_attractor_intervals(m, 1)), False)
         raise ValueError("core_of_node: the attractor is itself a union of cores")
     if region is None:
         region = trapping_region(m, node)
@@ -351,24 +353,22 @@ def core_of_node(m: PiecewiseMap, node: Node, region: Optional[TrappingRegion] =
 # level partition
 # ---------------------------------------------------------------------------
 
-def _core_union(m: PiecewiseMap, j: int):
-    # union of the 2^j cores at tower level j, position-sorted
-    return sorted(_attractor_intervals(m, 2 ** j), key=lambda iv: iv.lo)
-
-
 def level_partition(s: float) -> LevelPartition:
+    """U_{-1} = [c_1, 1], U_0 = [0, c_2], and for 1 <= k < p the core union
+    of level k-1 minus the open interiors of the 2^k cores of level k; U_p
+    is the attractor's union of cores.  The level-0 core is [c_2, c_1].
+    """
     p = node_depth(s)
     m = make_tent(s)
-    c1 = m(m.critical)
-    c2 = m(c1)
+    prev = _attractor_intervals(m, 1)
+    c2, c1 = prev[0]
     levels = {-1: [Interval(c1, 1.0)] if c1 < 1.0 else [],
               0: [Interval(0.0, c2)] if c2 > 0.0 else []}
     if p == 0:
         levels[0] = [Interval(0.0, 1.0)]
         return LevelPartition(s, p, levels)
-    prev = [Interval(c2, c1)]
     for k in range(1, p):
-        cur = _core_union(m, k)
+        cur = sorted(_attractor_intervals(m, 2 ** k), key=lambda iv: iv.lo)
         levels[k] = subtract_intervals(prev, cur)
         prev = cur
     levels[p] = prev
@@ -376,28 +376,22 @@ def level_partition(s: float) -> LevelPartition:
 
 
 def classify_point(s: float, x: float) -> int:
-    """Level of x in the nested partition: -1 above c_1, 0 below c_2, else
-    1 + the deepest closed core union containing x.
+    """Level of x: the deepest level of `level_partition(s)` whose stored
+    closed hulls hold x.
+
+    Taking the deepest keeps the cores closed, and makes U_0 right-open and
+    U_{-1} left-open: c_2 and c_1 lie in the level-0 core, so in level 1 or
+    deeper.  The partition drops slivers under 1e-15 (a few slopes within
+    about 1e-8 of a doubling boundary have them); a point in one is refused.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
-    p = node_depth(s)
-    m = make_tent(s)
-    c1 = m(m.critical)
-    c2 = m(c1)
-    if x > c1:
-        return -1
-    if x < c2:
-        return 0
-    if p == 0:
-        return 0
-    deepest = 0
-    for j in range(1, p):
-        if any(iv.contains(x) for iv in _core_union(m, j)):
-            deepest = j
-        else:
-            break
-    return deepest + 1
+    hits = [k for k, ivs in level_partition(s).levels.items()
+            if any(iv.contains(x) for iv in ivs)]
+    if not hits:
+        raise ValueError(f"x={x!r} lies in a sliver under 1e-15 that the level "
+                         f"partition at s={s!r} drops")
+    return max(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +417,7 @@ def cantor_cover(m: PiecewiseMap, tr: TrappingRegion, depth: int) -> CantorCover
         raise ValueError("region period disagrees with its cycle: no Cantor repellor")
     if tr.j1.lo <= m.domain.lo + _TOL and tr.j1.hi >= m.domain.hi - _TOL:
         raise ValueError("J_1 is the whole domain: nothing is left over")
-    orb = critical_orbit(m, 2)
-    base = [Interval(min(orb), max(orb))]
+    base = _attractor_intervals(m, 1)
     layer = [tr.j1]
     holes = list(layer)
     for _ in range(depth):
@@ -463,8 +456,6 @@ def classify_attractor(m: PiecewiseMap, nodes) -> str:
     if not region.cyclic:
         return "A2"
     for cand in reversed(nodes[:-1]):
-        if cand.kind == "interval_cycle_attractor":
-            continue
         try:
             ctr = trapping_region(m, cand)
             cantor_cover(m, ctr, 1)
@@ -534,9 +525,8 @@ def tu_nodes(m: PiecewiseMap):
     try:
         region = trapping_region(m, n1)
     except ValueError:
-        orb = critical_orbit(m, 2)
-        hull = Interval(min(orb), max(orb))
-        return [n0, Node(1, "interval_cycle_attractor", intervals=(hull,))]
+        hull = tuple(_attractor_intervals(m, 1))
+        return [n0, Node(1, "interval_cycle_attractor", intervals=hull)]
     cores = core_of_node(m, n1, region)
     ivs = tuple(sorted(cores.intervals, key=lambda iv: iv.lo))
     return [n0, n1, Node(2, "interval_cycle_attractor", intervals=ivs)]

@@ -292,10 +292,11 @@ class TestBandCount:
         ({"bins": 0}, "bins=0 must be at least 1"),
         ({"samples": 0}, "samples=0 must be at least 1"),
         ({"transient": -1}, "transient=-1 must be at least 0"),
+        ({"lo": 1.005, "hi": 0.99}, "lo=1.005 must not exceed hi=0.99"),
     ])
     def test_scan_refuses_a_setting_past_its_limit(self, kwargs, limit):
         with pytest.raises(ValueError, match=re.escape(limit)):
-            three_band_window(0.99, 1.005, **kwargs)
+            three_band_window(**{"lo": 0.99, "hi": 1.005, **kwargs})
 
     @pytest.mark.parametrize("kwargs,limit", [
         ({"columns": 0}, "columns=0 must be at least 1"),

@@ -1,0 +1,68 @@
+"""The analytic side and the chain-recurrence oracle share nothing but map
+evaluation: `chainoracle` imports no module of the package except `maps`,
+and the analytic modules never import `chainoracle`, directly or through
+the package root.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "unimodal"
+
+
+def package_imports(source: str) -> set:
+    """Modules of the package that source imports; the root is "__init__"."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                path = (node.module or "").split(".")
+            elif node.module and node.module.split(".")[0] == "unimodal":
+                path = node.module.split(".")[1:]
+            else:
+                continue
+            if path and path[0]:
+                out.add(path[0])
+            else:
+                # from . import x, from unimodal import x: a module or a name
+                # of the root
+                out.update(a.name if (SRC / f"{a.name}.py").exists() else "__init__"
+                           for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                path = a.name.split(".")
+                if path[0] == "unimodal":
+                    out.add(path[1] if len(path) > 1 else "__init__")
+    return out
+
+
+def imports_of(module: str) -> set:
+    return package_imports((SRC / f"{module}.py").read_text())
+
+
+def test_oracle_imports_only_maps():
+    assert imports_of("chainoracle") == {"maps"}
+
+
+@pytest.mark.parametrize("module", ["structure", "orbits", "backward"])
+def test_analytic_side_never_imports_the_oracle(module):
+    found = imports_of(module)
+    assert "maps" in found
+    assert not found & {"chainoracle", "__init__"}
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from .chainoracle import chain_classes", {"chainoracle"}),
+    ("from . import chainoracle, maps", {"chainoracle", "maps"}),
+    ("import unimodal.chainoracle as co", {"chainoracle"}),
+    ("from unimodal.chainoracle import build_grid", {"chainoracle"}),
+    ("from unimodal import chainoracle", {"chainoracle"}),
+    ("from unimodal import make_tent", {"__init__"}),
+    ("import unimodal", {"__init__"}),
+    ("def f():\n    from .structure import analytic_nodes", {"structure"}),
+    ("import numpy as np\nfrom scipy.sparse import csr_matrix", set()),
+])
+def test_import_reader(source, found):
+    assert package_imports(source) == found

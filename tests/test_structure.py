@@ -287,6 +287,19 @@ class TestClassifyPoint:
         with pytest.raises(ValueError):
             classify_point(1.4, 1.5)
 
+    def test_refuses_a_point_in_a_dropped_sliver(self):
+        # 1e-8 below 2^(1/32) the 32 bands have just split in two; some of
+        # the gaps between the new pairs are under 1e-15 wide, and the
+        # partition drops them
+        s = 1.0218971485519268
+        ivs = sorted((iv for v in level_partition(s).levels.values() for iv in v),
+                     key=lambda iv: iv.lo)
+        gaps = [(a.hi, b.lo) for a, b in zip(ivs, ivs[1:]) if a.hi < b.lo]
+        assert gaps and all(hi - lo < 1e-15 for lo, hi in gaps)
+        x = float(np.nextafter(gaps[0][0], 1.0))
+        with pytest.raises(ValueError, match="sliver under 1e-15"):
+            classify_point(s, x)
+
     def test_matches_partition_hulls(self):
         s = 1.2
         lp = level_partition(s)
@@ -446,15 +459,41 @@ class TestAttractorDichotomy:
         assert abs(gap(MU_CRISIS)) < 1e-6
 
 
+def core_walk_level(s, x):
+    """Level of x by walking the closed core unions, without the partition:
+    -1 above c_1, 0 below c_2, else 1 + the deepest j (walked from 1 while
+    it holds) whose 2^j cores [c_{r+i}, c_i], r = 2^j and c_0 read as c_2r,
+    hold x."""
+    p = node_depth(s)
+    c = [None] + critical_orbit(make_tent(s), 2 ** max(p, 1))    # c[k] = f^k(1/2)
+    if x > c[1]:
+        return -1
+    if x < c[2] or p == 0:
+        return 0
+    level = 1
+    for j in range(1, p):
+        r = 2 ** j
+        cores = [(c[r + i], c[i] if i else c[2 * r]) for i in range(r)]
+        if not any(min(e) <= x <= max(e) for e in cores):
+            break
+        level = j + 1
+    return level
+
+
 @settings(max_examples=60, deadline=None)
-@given(s=st.floats(1.05, 2.0), x=st.floats(0.0, 1.0))
+@given(s=st.floats(1.001, 2.0), x=st.floats(0.0, 1.0))
 def test_partition_and_classifier_agree(s, x):
-    """Every point lands in exactly one partition level, the one the
-    classifier reports."""
+    """The classifier reports the deepest partition level holding x, which
+    is the level the closed core unions give; levels overlap only at shared
+    endpoints.  Stored endpoints, where neighbouring levels meet, are
+    checked beside x."""
     lp = level_partition(s)
-    level = classify_point(s, x)
-    hits = [k for k, ivs in lp.levels.items() if any(iv.contains(x) for iv in ivs)]
-    assert level in hits
-    # overlaps only at shared endpoints
-    if len(hits) > 1:
-        assert any(x == iv.lo or x == iv.hi for k in hits for iv in lp.levels[k])
+    ends = sorted(e for ivs in lp.levels.values() for iv in ivs for e in iv)
+    for y in [x] + ends[:: max(1, len(ends) // 32)] + ends[-1:]:
+        level = classify_point(s, y)
+        hits = [k for k, ivs in lp.levels.items() if any(iv.contains(y) for iv in ivs)]
+        assert level == max(hits)
+        assert level == core_walk_level(s, y)
+        # overlaps only at shared endpoints
+        if len(hits) > 1:
+            assert any(y == iv.lo or y == iv.hi for k in hits for iv in lp.levels[k])
