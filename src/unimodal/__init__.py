@@ -6,8 +6,7 @@ orbit limits, each cross-checked by a grid-based chain-recurrence oracle.
 
 from .maps import (Interval, PiecewiseMap, hausdorff, make_logistic, make_tent,
                    make_tu, merge_intervals, subtract_intervals, tu_skeleton)
-from .orbits import (Cycle, critical_orbit, cycle_multiplier, find_cycle,
-                     interior_fixed_point, make_cycle)
+from .orbits import Cycle, critical_orbit, find_cycle, make_cycle
 from .structure import (CantorCover, CoreCollection, LevelPartition, Node,
                         Renormalization, TrappingRegion, analytic_nodes,
                         cantor_cover, classify_attractor, classify_point,

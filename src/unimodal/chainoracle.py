@@ -79,7 +79,7 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     h = 1.0 / n
     if not (math.isfinite(eps) and eps >= 1.5 * h):
         raise ValueError(f"eps={eps} must be finite and at least 1.5h={1.5 * h}: "
-                         f"below that no edges are certifiable ({eps / h:.3g} cell widths)")
+                         f"below that no edges are certifiable ({eps / h!r} cell widths)")
     if m.domain.lo != 0.0 or m.domain.hi != 1.0:
         raise ValueError("oracle grid expects the unit interval domain")
     centers = (np.arange(n) + 0.5) * h
@@ -126,8 +126,8 @@ def recurrent_cells(g: GridGraph):
 class ChainClasses:
     """Chain-recurrent cells partitioned into classes, shallowest first.
 
-    Classes are strong components of the eps-chain graph (recurrent cells
-    with at most two cells between them are glued), ordered by the maximum
+    Classes are strong components of the eps-chain graph, glued when their
+    recurrent cells lie at most three cells apart, ordered by the maximum
     of f over their centers, which on a tower runs from the boundary fixed
     class up to the attractor.  `graph` is that graph; its `eps` is the one
     jump size the classes were computed at.
@@ -174,15 +174,14 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     if len(cells) == 0:
         raise ValueError("no chain-recurrent cells: eps is too fine for this grid")
 
-    # Undirected graph on grid cells plus one node per strong component:
-    # each recurrent cell is tied to its component's node and to the next
-    # recurrent cell when they are at most three cells apart.
+    # Classes are strong components glued when their recurrent cells lie at
+    # most three cells apart: an undirected graph with one node per label of
+    # a recurrent cell and one edge per such pair of consecutive cells.
+    labels, node = np.unique(lab[cells], return_inverse=True)
     near = np.flatnonzero(np.diff(cells) <= 3)
-    rows = np.concatenate((cells, cells[near]))
-    cols = np.concatenate((n + lab[cells], cells[near + 1]))
-    size = n + int(lab.max()) + 1
-    link = csr_matrix((np.ones(len(rows), np.int8), (rows, cols)), shape=(size, size))
-    comp = connected_components(link, directed=False)[1][cells]
+    link = csr_matrix((np.ones(len(near), bool), (node[near], node[near + 1])),
+                      shape=(len(labels), len(labels)))
+    comp = connected_components(link, directed=False)[1][node]
 
     # Group cells by class (ascending within each), then order classes by
     # the maximum of f over their centers, ties by their first cell.

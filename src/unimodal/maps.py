@@ -30,6 +30,7 @@ __all__ = [
     "merge_intervals",
     "subtract_intervals",
     "hausdorff",
+    "tu_skeleton",
     "TU_BASE_MU",
 ]
 
@@ -37,8 +38,6 @@ __all__ = [
 TU_BASE_MU = 3.854
 
 _DEDUP_TOL = 1e-12
-# Sample points per check of `PiecewiseMap.is_unimodal`, split over branches.
-_UNIMODAL_PROBES = 10**4
 
 
 @dataclass(frozen=True)
@@ -268,26 +267,6 @@ class PiecewiseMap:
             # p's image has a unique preimage (can happen only at the peak value)
             raise ValueError(f"no conjugate point for p={p}")
         return best
-
-    def is_unimodal(self):
-        """Check strict branch monotonicity and the fixed-boundary condition.
-
-        Returns ("ok", None) or ("violation", x) with a witness point.
-        """
-        a = self.domain.lo
-        if abs(self._eval_scalar(a) - a) > 1e-9:
-            return ("violation", a)
-        if abs(self._eval_scalar(self.domain.hi) - a) > 1e-9:
-            return ("violation", self.domain.hi)
-        per = max(2, _UNIMODAL_PROBES // max(1, len(self.branches)))
-        for b in self.branches:
-            xs = np.linspace(b.domain.lo, b.domain.hi, per)
-            vals = b(xs)
-            d = np.diff(vals) * b.direction
-            bad = np.flatnonzero(d <= 0)
-            if len(bad):
-                return ("violation", float(xs[bad[0]]))
-        return ("ok", None)
 
     def __repr__(self):
         return f"PiecewiseMap({self.label}, {len(self.branches)} branches)"

@@ -8,7 +8,7 @@ import numpy as np
 
 from .maps import Interval, PiecewiseMap, bisect_root
 
-__all__ = ["Cycle", "critical_orbit", "interior_fixed_point", "find_cycle", "cycle_multiplier"]
+__all__ = ["Cycle", "critical_orbit", "find_cycle", "make_cycle"]
 
 _BISECT_TOL = 1e-12
 
@@ -40,20 +40,6 @@ def critical_orbit(m: PiecewiseMap, n: int):
         x = m(x)
         out.append(x)
     return out
-
-
-def interior_fixed_point(m: PiecewiseMap) -> float:
-    """The fixed point on the falling lap (tent: s/(s+1)).
-
-    Exists exactly when the peak rises above the diagonal, f(c) > c;
-    otherwise the only fixed point is the boundary and we raise.
-    """
-    c = m.critical
-    if m(c) <= c:
-        raise ValueError("map has no interior fixed point (peak at or below the diagonal)")
-    x = bisect_root(lambda x: m(x) - x, c, m.domain.hi, _BISECT_TOL)
-    assert abs(m(x) - x) <= 1e-10
-    return x
 
 
 def _lap_signature(m: PiecewiseMap, x: float, period: int):
@@ -91,11 +77,6 @@ def _multiplier(m: PiecewiseMap, points) -> float:
             raise ValueError("multiplier undefined: cycle passes through the critical point")
         lam *= m.slope_at(x)
     return lam
-
-
-def cycle_multiplier(m: PiecewiseMap, cycle: Cycle) -> float:
-    """Product of branch slopes along the cycle; repelling iff |result| > 1."""
-    return _multiplier(m, cycle.points)
 
 
 def make_cycle(m: PiecewiseMap, x: float, period: int) -> Cycle:

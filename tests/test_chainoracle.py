@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from unimodal import (
@@ -29,6 +29,9 @@ class TestGrid:
         for eps in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and at least 1.5h"):
                 build_grid(m, 1000, eps)
+        # 1.5 / n is one ulp below 1.5h: refused, and the ratio says so
+        with pytest.raises(ValueError, match=r"\(1\.4999999999999998 cell widths\)"):
+            build_grid(m, 10007, 1.5 / 10007)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_default_eps_on_an_empty_grid_is_refused_by_name(self, n):
@@ -321,7 +324,7 @@ def reference_conley_graph(cc):
 
 @st.composite
 def _oracle_case(draw):
-    s = draw(st.floats(1.01, 2.0))
+    s = draw(st.floats(1.001, 2.0))
     n = draw(st.sampled_from([2_000, 20_000]))
     h = 1.0 / n
     mults = draw(st.lists(st.floats(1.5, 64.0), min_size=1, max_size=4))
@@ -330,9 +333,12 @@ def _oracle_case(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=_oracle_case())
+@example(case=(1.001, 20_000, [8 / 20_000, 2 / 20_000]))
+@example(case=(1.05, 20_000, [8 / 20_000, 2 / 20_000]))
 def test_finest_rung_oracle_matches_reference(case):
     """One eps gives the classes and edges of any decreasing ladder of
-    jump sizes ending at it."""
+    jump sizes ending at it.  Near s = 1 the recurrent cells carry hundreds
+    of strong-component labels, so the grouping over labels is exercised."""
     s, n, eps = case
     m = make_tent(s)
     ref = reference_chain_classes(m, n, eps)

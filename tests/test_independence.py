@@ -1,15 +1,18 @@
 """The analytic side and the chain-recurrence oracle share nothing but map
 evaluation: `chainoracle` imports no module of the package except `maps`,
 and the analytic modules never import `chainoracle`, directly or through
-the package root.
+the package root.  The export lists are honest too: every name in a
+module's `__all__` exists, and the root re-exports only exported names.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "unimodal"
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if not p.stem.startswith("__"))
 
 
 def package_imports(source: str) -> set:
@@ -66,3 +69,18 @@ def test_analytic_side_never_imports_the_oracle(module):
 ])
 def test_import_reader(source, found):
     assert package_imports(source) == found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(f"unimodal.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_root_reexports_only_exported_names():
+    missing = []
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"unimodal.{node.module}").__all__
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert missing == []

@@ -156,8 +156,13 @@ class TestTentFamily:
         assert pieces[1].hi == pytest.approx(0.9)
 
     def test_is_unimodal(self):
-        assert make_tent(1.5).is_unimodal()[0] == "ok"
-        assert make_tu(1.0).is_unimodal()[0] == "ok"
+        # every branch strictly monotone on samples, and f(0) = f(1) = 0
+        for m in (make_tent(1.5), make_tu(1.0)):
+            assert m(0.0) == pytest.approx(0.0, abs=1e-9)
+            assert m(1.0) == pytest.approx(0.0, abs=1e-9)
+            for b in m.branches:
+                xs = np.linspace(b.domain.lo, b.domain.hi, 2_000)
+                assert np.all(np.diff(b(xs)) * b.direction > 0)
 
 
 class TestConjugate:

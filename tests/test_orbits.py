@@ -2,12 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimodal import (
-    Cycle,
     Interval,
     critical_orbit,
-    cycle_multiplier,
     find_cycle,
-    interior_fixed_point,
     make_cycle,
     make_tent,
     make_tu,
@@ -40,11 +37,6 @@ def test_critical_orbit_enters_core():
         orb = critical_orbit(make_tent(s), 40)
         c1, c2 = orb[0], orb[1]
         assert all(c2 - 1e-12 <= x <= c1 + 1e-12 for x in orb[1:])
-
-
-def test_interior_fixed_point():
-    assert interior_fixed_point(make_tent(1.4)) == pytest.approx(1.4 / 2.4)
-    assert interior_fixed_point(make_tent(2.0)) == pytest.approx(2.0 / 3.0)
 
 
 class TestFindCycle:
@@ -90,10 +82,8 @@ def test_multiplier_magnitude_is_slope_power():
 
 
 def test_multiplier_rejects_critical_point():
-    m = make_tent(2.0)
-    fake = Cycle((0.5,), 1, 0.0)
-    with pytest.raises(ValueError):
-        cycle_multiplier(m, fake)
+    with pytest.raises(ValueError, match="passes through the critical point"):
+        make_cycle(make_tent(2.0), 0.5, 1)
 
 
 @settings(max_examples=100, deadline=None)

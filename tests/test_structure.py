@@ -12,7 +12,6 @@ from unimodal import (
     classify_point,
     core_of_node,
     critical_orbit,
-    interior_fixed_point,
     is_cyclic,
     level_partition,
     make_tent,
@@ -24,6 +23,7 @@ from unimodal import (
     tu_nodes,
     tu_skeleton,
 )
+from unimodal.maps import bisect_root
 from unimodal.structure import tent_parameter
 
 # tower depth for a selection of slopes, worked out from log2(log2 s)
@@ -307,6 +307,12 @@ class TestClassifyPoint:
             for iv in ivs:
                 mid = 0.5 * (iv.lo + iv.hi)
                 assert classify_point(s, mid) == level
+
+
+def interior_fixed_point(m):
+    """Reference: the fixed point on the falling lap (tent: s/(s+1)), by
+    bisection of f(x) - x on [c, 1]."""
+    return bisect_root(lambda x: m(x) - x, m.critical, m.domain.hi, 1e-12)
 
 
 class TestRenormalize:
