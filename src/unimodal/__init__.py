@@ -6,18 +6,18 @@ orbit limits, each cross-checked by a grid-based chain-recurrence oracle.
 
 from .maps import (Interval, PiecewiseMap, hausdorff, make_logistic, make_tent,
                    make_tu, merge_intervals, subtract_intervals, tu_skeleton)
-from .orbits import Cycle, critical_orbit, find_cycle, make_cycle
+from .orbits import (Cycle, critical_orbit, expansion_bound, expansion_time, find_cycle,
+                     make_cycle)
 from .structure import (CantorCover, CoreCollection, LevelPartition, Node,
-                        Renormalization, TrappingRegion, analytic_nodes,
-                        cantor_cover, classify_attractor, classify_point,
-                        core_of_node, is_cyclic, level_partition, node_depth,
-                        renormalize, trapping_region, tu_cycle, tu_nodes)
-from .chainoracle import (ChainClasses, GridGraph, MatchReport, build_grid,
-                          chain_classes, conley_graph, expansion_bound,
-                          expansion_time, match_nodes, recurrent_cells,
-                          verify_tower)
-from .backward import (BackwardTree, DenseOrbit, PredictedSAlpha, SAlphaEstimate,
-                       build_backward_tree, compare_salpha, dense_backward_orbit,
-                       predicted_salpha, salpha)
+                        PredictedSAlpha, Renormalization, TrappingRegion,
+                        analytic_nodes, cantor_cover, classify_attractor,
+                        classify_point, core_of_node, is_cyclic, level_partition,
+                        node_depth, predicted_salpha, renormalize, trapping_region,
+                        tu_cycle, tu_nodes)
+from .chainoracle import (ChainClasses, GridGraph, build_grid, chain_classes,
+                          conley_graph, recurrent_cells, verify_tower)
+from .backward import (BackwardTree, DenseOrbit, SAlphaEstimate, build_backward_tree,
+                       dense_backward_orbit, salpha)
+from .cli import compare_salpha, match_nodes
 
 __version__ = "0.1.0"

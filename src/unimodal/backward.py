@@ -1,9 +1,9 @@
 """Backward orbits: preimage trees, s-alpha limit sets, dense orbits.
 
 The s-alpha set of a point is where its backward orbits can accumulate.
-For a tent map this is predicted in closed form from the point's level in
-the nested partition (the union of all node supports at or above that
-level), and estimated numerically from deep rows of the preimage tree.
+This module only estimates it, numerically from deep rows of the preimage
+tree; it never reads the closed-form prediction of `structure`, and `cli`
+compares the two.
 
 Raw tree rows are polluted in two ways: branches that fell into the
 escaping strip above c_1 die there and leave points near the endpoint at
@@ -27,18 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Interval, PiecewiseMap, hausdorff, make_tent
-from .structure import _attractor_intervals, analytic_nodes, classify_point
+from .maps import Interval, PiecewiseMap
+from .orbits import critical_orbit
 
 __all__ = [
     "BackwardTree",
     "SAlphaEstimate",
-    "PredictedSAlpha",
     "DenseOrbit",
     "build_backward_tree",
     "salpha",
-    "predicted_salpha",
-    "compare_salpha",
     "dense_backward_orbit",
 ]
 
@@ -52,7 +49,6 @@ _RETURN_STEPS = 40      # forward steps of the return probe
 _PROBE_RADIUS = 2e-3
 _BRACKET_PAD = 1e-12    # float slack of a bin's bracket per step (_DEDUP_TOL)
 _CLUSTER_GAP = 5e-3
-_SALPHA_TOL = 0.02      # Hausdorff distance at which an estimate passes
 _LOOKAHEAD = 8          # preimage rows a dense-orbit step looks ahead
 
 
@@ -99,10 +95,6 @@ def build_backward_tree(m: PiecewiseMap, x: float, depth: int) -> BackwardTree:
             row = _thin(row, _LEVEL_CAP)
             truncated = True
         levels.append(row)
-        if len(row) == 0:
-            # no preimages at all: deeper rows stay empty
-            levels.extend(np.empty(0) for _ in range(depth - len(levels) + 1))
-            break
     return BackwardTree(x, depth, tuple(levels), truncated)
 
 
@@ -174,7 +166,7 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# s-alpha estimation and prediction
+# s-alpha estimation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -209,70 +201,6 @@ def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     ivs = tuple(_cluster(pts, _CLUSTER_GAP))
     return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, tree.truncated,
                           candidates)
-
-
-@dataclass(frozen=True)
-class PredictedSAlpha:
-    x: float
-    level: int
-    intervals: tuple
-    note: str = ""
-
-
-def predicted_salpha(s: float, x: float) -> PredictedSAlpha:
-    """Closed-form s-alpha set of x under the tent map T_s: the union of
-    the supports of all nodes at or above the level of x.
-
-    Points above c_1 have no preimages at all, hence an empty set.
-    """
-    level = classify_point(s, x)
-    if level == -1:
-        return PredictedSAlpha(x, -1, (),
-                               "x exceeds the image of the map: no backward orbits exist")
-    nodes = analytic_nodes(s)
-    ivs = []
-    for nd in nodes[: level + 1]:
-        ivs.extend(nd.support())
-    ivs.sort(key=lambda iv: iv.lo)
-    return PredictedSAlpha(x, level, tuple(ivs))
-
-
-def compare_salpha(s: float, x: float, depth: int = 30) -> dict:
-    """Estimator vs closed form, as a JSON-able report.
-
-    Passes when the Hausdorff distance between the two interval unions is
-    within _SALPHA_TOL, or when both sides are empty.
-    """
-    m = make_tent(s)
-    pred = predicted_salpha(s, x)
-    est = salpha(m, x, depth)
-    if not pred.intervals and not est.intervals:
-        dist, passed = 0.0, True
-    elif not pred.intervals or not est.intervals:
-        dist, passed = float("inf"), False
-    else:
-        dist = hausdorff(list(est.intervals), list(pred.intervals))
-        passed = dist <= _SALPHA_TOL
-    notes = []
-    if pred.note:
-        notes.append(pred.note)
-    if est.degenerate:
-        notes.append(f"estimate is degenerate: only {est.n_points} surviving points")
-    return {
-        "s": s,
-        "x": x,
-        "depth": depth,
-        "level": pred.level,
-        "predicted": [[iv.lo, iv.hi] for iv in pred.intervals],
-        "estimated": [[iv.lo, iv.hi] for iv in est.intervals],
-        "hausdorff": dist,
-        "tol": _SALPHA_TOL,
-        "passed": passed,
-        "notes": notes,
-        "candidates": est.candidates,
-        "kept": est.n_points,
-        "truncated": est.truncated,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +247,7 @@ def dense_backward_orbit(m: PiecewiseMap, delta: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    core = _attractor_intervals(m, 1)[0]
+    core = Interval(*sorted(critical_orbit(m, 2)))
     c2, c1 = core
     net = np.arange(c2 + delta / 2.0, c1, delta)
     if len(net) == 0:

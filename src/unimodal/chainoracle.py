@@ -1,11 +1,13 @@
 """Brute-force chain-recurrence oracle on a uniform grid.
 
-Cross-checks the closed-form tower from `structure` without sharing any of
-its reasoning: the domain is cut into n cells, an edge i -> j is drawn when
-every point of cell j lies within eps of the image of cell i's center, and
-the chain-recurrent set, its classes, and the reachability order between
-them are read off the directed graph.  Strongly connected components come
-from scipy; everything else is plain array work.
+Chain recurrence only: the grid, its strong components, the classes, the
+Conley graph between them and whether that graph is a tower.  The oracle
+never sees the closed-form tower of `structure`; `cli` pairs the two.  The
+domain is cut into n cells, an edge i -> j is drawn when every point of
+cell j lies within eps of the image of cell i's center, and the
+chain-recurrent set, its classes, and the reachability order between them
+are read off the directed graph.  Strongly connected components come from
+scipy; everything else is plain array work.
 
 The chain-recurrent set is the intersection of the eps-chain-recurrent
 sets over all eps > 0, and one eps is enough to compute it on a fixed
@@ -35,20 +37,16 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .maps import Interval, PiecewiseMap, hausdorff
+from .maps import Interval, PiecewiseMap
 
 __all__ = [
     "GridGraph",
     "ChainClasses",
-    "MatchReport",
     "build_grid",
     "recurrent_cells",
     "chain_classes",
     "conley_graph",
     "verify_tower",
-    "match_nodes",
-    "expansion_time",
-    "expansion_bound",
 ]
 
 _MIN_CELLS = 100
@@ -116,10 +114,9 @@ def recurrent_cells(g: GridGraph):
     ncomp, lab = connected_components(_sparse(g), directed=True, connection="strong")
     sizes = np.bincount(lab, minlength=ncomp)
     ar = np.arange(g.n)
+    # a one-cell component carries a self-loop exactly when its cell does
     selfloop = (g.jlo <= ar) & (ar <= g.jhi)
-    has_loop = np.zeros(ncomp, bool)
-    has_loop[lab[selfloop]] = True
-    return (sizes >= 2)[lab] | has_loop[lab], lab
+    return (sizes >= 2)[lab] | selfloop, lab
 
 
 @dataclass(frozen=True)
@@ -236,96 +233,3 @@ def verify_tower(cc: ChainClasses, edges) -> bool:
             raise ValueError(f"classes {i} and {j} reach each other: partition is not a tower")
     k = len(cc)
     return es == {(i, j) for i in range(k) for j in range(i + 1, k)}
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    passed: bool
-    pairs: tuple            # (node_index, class_index, hausdorff distance)
-    count_mismatch: bool
-    tol: float
-    message: str
-
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "pairs": [list(p) for p in self.pairs],
-            "count_mismatch": self.count_mismatch,
-            "tol": self.tol,
-            "message": self.message,
-        }
-
-
-def match_nodes(nodes, cc: ChainClasses, tol: float) -> MatchReport:
-    """Pair analytic node k with oracle class k, shallowest first.
-
-    Both towers come shallowest first: the nodes by index, the classes by
-    the maximum of f over each.  On a tent map the top of N_{k+1} lies in
-    f(J_1) = [max N_k, c_1], so the maximum of f rises along the analytic
-    tower too, and position alone pairs the two.  Each pair carries the
-    Hausdorff distance between the node support and the class support
-    (cell-center hulls); the match passes when the counts agree and every
-    distance is within tol.  A count mismatch is reported, not raised, and
-    its pairs are the positional prefix.
-    """
-    k_n, k_c = len(nodes), len(cc)
-    pairs = tuple((k, k, float(hausdorff(nd.support(), cc.support(k))))
-                  for k, nd in zip(range(k_c), nodes))
-    mismatch = k_n != k_c
-    worst = max((d for _, _, d in pairs), default=0.0)
-    passed = (not mismatch) and worst <= tol
-    if mismatch:
-        msg = f"{k_n} analytic nodes vs {k_c} oracle classes"
-    elif passed:
-        msg = f"{k_n} nodes matched, worst Hausdorff {worst:.3g} <= {tol:.3g}"
-    else:
-        msg = f"worst Hausdorff {worst:.3g} exceeds {tol:.3g}"
-    return MatchReport(passed, pairs, mismatch, tol, msg)
-
-
-def expansion_bound(m: PiecewiseMap, lo: float, hi: float) -> int:
-    """Step budget for a subinterval to expand over the core.
-
-    With L the core length and d the interval length, the nominal term
-    ceil(2 log(L/d) / log(s^2)) counts doublings at the uncut growth rate.
-    Each pass of the image across the peak can halve the tracked length,
-    costing log 2 / log s steps to recover; at most a handful of cuts
-    happen before the image pins to the orbit of the peak, so the additive
-    term ceil(9 log 2 / log s) + 2 absorbs them.  Calibrated against exact
-    interval iteration over slopes down to 1.42 (worst observed deficit
-    leaves a margin of at least five steps); arbitrarily close to sqrt(2)
-    the cover time can still exceed the budget.
-    """
-    s = abs(m.slope_at(m.critical - 1e-9))
-    c1 = m(m.critical)
-    c2 = m(c1)
-    core = c1 - c2
-    d = hi - lo
-    if d <= 0:
-        raise ValueError("empty interval")
-    cuts = math.ceil(9.0 * math.log(2.0) / math.log(s)) + 2
-    if d >= core:
-        return cuts
-    return math.ceil(2.0 * math.log(core / d) / math.log(s * s)) + cuts
-
-
-def expansion_time(m: PiecewiseMap, lo: float, hi: float) -> int:
-    """Exact number of iterations until the image of [lo, hi] covers the
-    core [c_2, c_1], within the budget `expansion_bound`.  Requires slope
-    above sqrt(2): below that the map is renormalizable and small intervals
-    near the center never spread.
-    """
-    s = abs(m.slope_at(m.critical - 1e-9))
-    if s * s <= 2.0 - 1e-12:
-        raise ValueError(f"slope {s} <= sqrt(2): no uniform expansion over the core")
-    c1 = m(m.critical)
-    c2 = m(c1)
-    if not (m.domain.lo <= lo < hi <= m.domain.hi):
-        raise ValueError(f"bad interval [{lo}, {hi}]")
-    cap = expansion_bound(m, lo, hi)
-    a, b = lo, hi
-    for k in range(cap + 1):
-        if a <= c2 + 1e-12 and b >= c1 - 1e-12:
-            return k
-        a, b = m.interval_image(a, b)
-    raise RuntimeError(f"interval failed to cover the core within {cap} steps")

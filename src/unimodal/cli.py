@@ -6,6 +6,10 @@ Subcommands:
   bifurcation  render an attractor diagram as a PGM with a CSV overlay
   salpha       compare estimated and predicted s-alpha sets of one point
 
+This is the comparison layer: `chainoracle` and `backward` only measure,
+`structure` only predicts, and `match_nodes` (tower vs oracle classes) and
+`compare_salpha` (s-alpha estimate vs prediction) set one against the other.
+
 Attractor histograms (`bifurcation`, `band_count`, `three_band_window`)
 come from one vectorized pass over all parameter columns.  Every column
 starts from the same perturbed critical point, so a column does not depend
@@ -25,21 +29,25 @@ import sys
 
 import numpy as np
 
-from .backward import compare_salpha
-from .chainoracle import (chain_classes, conley_graph, expansion_bound,
-                          expansion_time, match_nodes, verify_tower)
-from .maps import PiecewiseMap, make_logistic, make_tent, make_tu
-from .orbits import critical_orbit
-from .structure import analytic_nodes, classify_attractor, tu_cycle, tu_nodes
+from . import backward
+from .chainoracle import ChainClasses, chain_classes, conley_graph, verify_tower
+from .maps import PiecewiseMap, hausdorff, make_logistic, make_tent, make_tu
+from .orbits import critical_orbit, expansion_bound, expansion_time
+from .structure import (analytic_nodes, classify_attractor, predicted_salpha, tu_cycle,
+                        tu_nodes)
 
-__all__ = ["main", "render_bifurcation", "band_count", "three_band_window"]
+__all__ = ["main", "match_nodes", "compare_salpha", "render_bifurcation", "band_count",
+           "three_band_window"]
 
-# histogram of `band_count` and the defaults of `three_band_window`
+# histogram of `band_count`, and the defaults of `three_band_window` and of
+# the `bifurcation` flags
 _TRANSIENT = 3000       # iterations per column before sampling
 _SAMPLES = 4000         # sampled iterations per column
 _BINS = 400             # bins over [0, 1]
 _SEED = 0               # seed of the start perturbation
 _MIN_OCCUPIED = 20      # fewest occupied bins of a three-band column
+
+_SALPHA_TOL = 0.02      # Hausdorff distance at which an s-alpha estimate passes
 
 
 # constructor of each family, and the parameter of its shared base map
@@ -86,6 +94,77 @@ def cmd_nodes(args, parser) -> int:
 
 
 # ---------------------------------------------------------------------------
+# comparisons
+# ---------------------------------------------------------------------------
+
+def match_nodes(nodes, cc: ChainClasses, tol: float) -> dict:
+    """Pair analytic node k with oracle class k, shallowest first, as a
+    JSON-able report with the keys passed, pairs, count_mismatch, tol and
+    message.
+
+    Both towers come shallowest first: the nodes by index, the classes by
+    the maximum of f over each.  On a tent map the top of N_{k+1} lies in
+    f(J_1) = [max N_k, c_1], so the maximum of f rises along the analytic
+    tower too, and position alone pairs the two.  Each pair [node, class,
+    distance] carries the Hausdorff distance between the node support and
+    the class support (cell-center hulls); the match passes when the counts
+    agree and every distance is within tol.  A count mismatch is reported,
+    not raised, and its pairs are the positional prefix.
+    """
+    k_n, k_c = len(nodes), len(cc)
+    pairs = [[k, k, float(hausdorff(nd.support(), cc.support(k)))]
+             for k, nd in zip(range(k_c), nodes)]
+    mismatch = k_n != k_c
+    worst = max((d for _, _, d in pairs), default=0.0)
+    passed = (not mismatch) and worst <= tol
+    if mismatch:
+        msg = f"{k_n} analytic nodes vs {k_c} oracle classes"
+    elif passed:
+        msg = f"{k_n} nodes matched, worst Hausdorff {worst:.3g} <= {tol:.3g}"
+    else:
+        msg = f"worst Hausdorff {worst:.3g} exceeds {tol:.3g}"
+    return {"passed": passed, "pairs": pairs, "count_mismatch": mismatch, "tol": tol,
+            "message": msg}
+
+
+def compare_salpha(s: float, x: float, depth: int = 30) -> dict:
+    """Estimator vs closed form, as a JSON-able report.
+
+    Passes when the Hausdorff distance between the two interval unions is
+    within _SALPHA_TOL, or when both sides are empty.
+    """
+    pred = predicted_salpha(s, x)
+    est = backward.salpha(make_tent(s), x, depth)
+    if not pred.intervals and not est.intervals:
+        dist, passed = 0.0, True
+    elif not pred.intervals or not est.intervals:
+        dist, passed = float("inf"), False
+    else:
+        dist = hausdorff(list(est.intervals), list(pred.intervals))
+        passed = dist <= _SALPHA_TOL
+    notes = []
+    if pred.note:
+        notes.append(pred.note)
+    if est.degenerate:
+        notes.append(f"estimate is degenerate: only {est.n_points} surviving points")
+    return {
+        "s": s,
+        "x": x,
+        "depth": depth,
+        "level": pred.level,
+        "predicted": [[iv.lo, iv.hi] for iv in pred.intervals],
+        "estimated": [[iv.lo, iv.hi] for iv in est.intervals],
+        "hausdorff": dist,
+        "tol": _SALPHA_TOL,
+        "passed": passed,
+        "notes": notes,
+        "candidates": est.candidates,
+        "kept": est.n_points,
+        "truncated": est.truncated,
+    }
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -121,8 +200,8 @@ def cmd_verify(args, parser) -> int:
 
     tol = max(4.0 * h, 1.5 * h / max(args.s - 1.0, 1e-6) + 2.0 * h)
     mr = match_nodes(nodes, cc, tol)
-    checks.append(("match", mr.passed, mr.message))
-    report["match"] = mr.to_dict()
+    checks.append(("match", mr["passed"], mr["message"]))
+    report["match"] = mr
 
     c1, c2 = critical_orbit(m, 2)
     sal = []
@@ -161,10 +240,14 @@ def cmd_verify(args, parser) -> int:
 # bifurcation rendering
 # ---------------------------------------------------------------------------
 
-def _family_base(family: str):
-    # One shared base map per family; the parameter becomes a scalar factor,
-    # so a whole row of columns advances with a single vectorized call.
+def _family_base(family: str, *params):
+    """The family's shared base map and the scale of a parameter: one base
+    map per family, so a whole row of columns advances with a single
+    vectorized call.  The family's constructor first refuses, by name, any
+    of params outside its range: past it the orbit leaves [0, 1]."""
     make, p0 = _FAMILIES[family]
+    for p in params:
+        make(p)
     return make(p0), lambda p: p / p0
 
 
@@ -192,7 +275,8 @@ def _orbit_histogram(base, scales, transient, samples, bins, seed):
         x = scales * base(x)
     for _ in range(samples):
         x = scales * base(x)
-        rows = np.clip((x * bins).astype(np.int64), 0, bins - 1)
+        # every accepted scale keeps x in [0, 1], so no row is negative
+        rows = np.minimum((x * bins).astype(np.int64), bins - 1)
         counts[rows, cols] += 1     # one row per column: no index repeats
     return counts
 
@@ -207,9 +291,7 @@ def render_bifurcation(family: str, lo: float, hi: float, columns: int,
     constructor refuses lo or hi outside its parameter range by name.
     """
     _check_histogram(columns=columns)    # before linspace reads it
-    make = _FAMILIES[family][0]
-    make(lo), make(hi)
-    base, to_scale = _family_base(family)
+    base, to_scale = _family_base(family, lo, hi)
     params = np.linspace(lo, hi, columns)
     counts = _orbit_histogram(base, to_scale(params), transient, samples, bins, seed)
     peak = counts.max(axis=0).clip(min=1)
@@ -263,9 +345,10 @@ def band_count(family: str, param: float):
 
     Clusters are runs of occupied bins separated by at least two empty
     bins; interval bands occupy many bins while periodic attractors only a
-    handful, so the pair distinguishes the two.
+    handful, so the pair distinguishes the two.  The family's constructor
+    refuses param outside its range by name.
     """
-    base, to_scale = _family_base(family)
+    base, to_scale = _family_base(family, param)
     counts = _orbit_histogram(base, np.array([to_scale(param)]),
                               _TRANSIENT, _SAMPLES, _BINS, _SEED)
     return _bands(counts[:, 0])
@@ -284,12 +367,13 @@ def three_band_window(lo: float, hi: float, step: float = 5e-4,
                       bins: int = _BINS):
     """Maximal parameter run around mu=1 where the tu attractor shows three
     interval bands.  Returns (mu_lo, mu_hi) or None when 1 is not inside
-    such a run."""
+    such a run.  A scanned mu outside the tu range is refused by name."""
     _check_histogram(step=step)          # before arange reads it
     if lo > hi:
         raise ValueError(f"lo={lo} must not exceed hi={hi}")
     mus = np.arange(lo, hi + step / 2, step)
-    base, to_scale = _family_base("tu")
+    # the scan can pass hi by up to half a step
+    base, to_scale = _family_base("tu", lo, hi, mus[-1])
     counts = _orbit_histogram(base, to_scale(mus), transient, samples, bins, _SEED)
     good = [clusters == 3 and occupied >= _MIN_OCCUPIED
             for clusters, occupied in map(_bands, counts.T)]
@@ -356,13 +440,13 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bifurcation", help="render an attractor diagram (PGM + CSV)")
     sp.add_argument("--family", choices=["tent", "logistic", "tu"], default="tent")
-    sp.add_argument("--seed", type=int, default=0, help="seed of the start perturbation")
+    sp.add_argument("--seed", type=int, default=_SEED, help="seed of the start perturbation")
     sp.add_argument("--s-min", type=float, required=True)
     sp.add_argument("--s-max", type=float, required=True)
     sp.add_argument("--columns", type=int, default=300)
-    sp.add_argument("--transient", type=int, default=3000)
-    sp.add_argument("--samples", type=int, default=4000)
-    sp.add_argument("--bins", type=int, default=400)
+    sp.add_argument("--transient", type=int, default=_TRANSIENT)
+    sp.add_argument("--samples", type=int, default=_SAMPLES)
+    sp.add_argument("--bins", type=int, default=_BINS)
     sp.add_argument("--out", help="output PGM path")
 
     sp = sub.add_parser("salpha", help="estimated vs predicted s-alpha set")

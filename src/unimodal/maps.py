@@ -240,12 +240,11 @@ class PiecewiseMap:
             ylo, yhi = max(lo, rlo), min(hi, rhi)
             a = b.invert(ylo).tolist()
             z = b.invert(yhi).tolist()
-            ends = (a or [blo if vlo >= lo else bhi]) + (z or [])
+            ends = a + z
             if not a or not z:
                 # value hit a branch endpoint within float dust: the domain
                 # endpoint itself bounds the component
-                cand = [x for x in (blo, bhi) if lo - 1e-12 <= b(x) <= hi + 1e-12]
-                ends = (a or []) + (z or []) + cand
+                ends += [x for x in (blo, bhi) if lo - 1e-12 <= b(x) <= hi + 1e-12]
             pieces.append(Interval(min(ends), max(ends)))
         # components meeting at a branch cut may differ by one ulp
         return merge_intervals(pieces, tol=1e-12)

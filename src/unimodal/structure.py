@@ -3,11 +3,13 @@
 Everything that can be computed in closed form or by finite root-finding
 lives here: the node tower (boundary fixed point, period-doubling cascade,
 interval-cycle attractor), renormalization charts, maximal cyclic trapping
-regions, per-region cores, the nested level partition of the domain, finite
-covers of Cantor repellors, and the A2/A5 attractor dichotomy.
+regions, per-region cores, the nested level partition of the domain, the
+s-alpha set each level predicts, finite covers of Cantor repellors, and the
+A2/A5 attractor dichotomy.
 
-The chain-recurrence oracle in `chainoracle` recomputes the same picture by
-brute force; the two sides are kept strictly independent.
+This module only predicts.  `chainoracle` recomputes the tower by brute
+force and `backward` estimates s-alpha sets, strictly independently of it;
+`cli` compares each measurement with its prediction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "TrappingRegion",
     "CoreCollection",
     "LevelPartition",
+    "PredictedSAlpha",
     "CantorCover",
     "Renormalization",
     "node_depth",
@@ -36,6 +39,7 @@ __all__ = [
     "core_of_node",
     "level_partition",
     "classify_point",
+    "predicted_salpha",
     "cantor_cover",
     "classify_attractor",
     "is_cyclic",
@@ -115,6 +119,14 @@ class LevelPartition:
     s: float
     depth: int
     levels: dict
+
+
+@dataclass(frozen=True)
+class PredictedSAlpha:
+    x: float
+    level: int
+    intervals: tuple
+    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -392,6 +404,24 @@ def classify_point(s: float, x: float) -> int:
         raise ValueError(f"x={x!r} lies in a sliver under 1e-15 that the level "
                          f"partition at s={s!r} drops")
     return max(hits)
+
+
+def predicted_salpha(s: float, x: float) -> PredictedSAlpha:
+    """Closed-form s-alpha set of x under the tent map T_s: the union of
+    the supports of all nodes at or above the level of x.
+
+    Points above c_1 have no preimages at all, hence an empty set.
+    """
+    level = classify_point(s, x)
+    if level == -1:
+        return PredictedSAlpha(x, -1, (),
+                               "x exceeds the image of the map: no backward orbits exist")
+    nodes = analytic_nodes(s)
+    ivs = []
+    for nd in nodes[: level + 1]:
+        ivs.extend(nd.support())
+    ivs.sort(key=lambda iv: iv.lo)
+    return PredictedSAlpha(x, level, tuple(ivs))
 
 
 # ---------------------------------------------------------------------------

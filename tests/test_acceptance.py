@@ -51,9 +51,9 @@ def test_criterion_01_two_level_tower_matches_oracle():
     cc = chain_classes(make_tent(1.8), N)
     mr = match_nodes(nodes, cc, tol=4 * H)
     elapsed = time.perf_counter() - t0
-    assert mr.passed, mr.message
+    assert mr["passed"], mr["message"]
     assert elapsed < 5.0
-    _pass(1, f"{mr.message}; {elapsed:.2f}s")
+    _pass(1, f"{mr['message']}; {elapsed:.2f}s")
 
 
 def test_criterion_02_period_doubled_tower_at_1_4():
@@ -68,8 +68,8 @@ def test_criterion_02_period_doubled_tower_at_1_4():
     assert ivs[1].hi == pytest.approx(0.70, abs=1e-9)
     cc = chain_classes(make_tent(1.4), N)
     mr = match_nodes(nodes, cc, tol=4 * H)
-    assert mr.passed, mr.message
-    _pass(2, mr.message)
+    assert mr["passed"], mr["message"]
+    _pass(2, mr["message"])
 
 
 def test_criterion_03_depth_table():

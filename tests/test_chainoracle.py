@@ -148,21 +148,21 @@ class TestMatching:
     def test_match_at_moderate_grid(self):
         n = 10_000
         rep = match_nodes(analytic_nodes(1.8), chain_classes(make_tent(1.8), n), tol=4.0 / n)
-        assert rep.passed
-        assert not rep.count_mismatch
+        assert rep["passed"]
+        assert not rep["count_mismatch"]
 
     def test_count_mismatch_is_reported_not_raised(self):
         # negative control: towers of different depths cannot pair up
         rep = match_nodes(analytic_nodes(1.8), chain_classes(make_tent(1.2), 10_000), tol=1.0)
-        assert rep.count_mismatch
-        assert not rep.passed
-        assert "2 analytic nodes vs 3 oracle classes" in rep.message
+        assert rep["count_mismatch"]
+        assert not rep["passed"]
+        assert "2 analytic nodes vs 3 oracle classes" in rep["message"]
 
     def test_report_is_jsonable(self):
         import json
 
         rep = match_nodes(analytic_nodes(1.8), chain_classes(make_tent(1.8), 10_000), tol=1e-3)
-        json.dumps(rep.to_dict())
+        json.dumps(rep)
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,14 +174,14 @@ def test_position_pairing_equals_min_cost_assignment(s, n):
     nodes = analytic_nodes(s)
     cc = chain_classes(make_tent(s), n)
     rep = match_nodes(nodes, cc, tol=4.0 / n)
-    if rep.count_mismatch:
-        assert not rep.passed
-        assert [p[:2] for p in rep.pairs] == [(k, k) for k in range(min(len(nodes), len(cc)))]
+    if rep["count_mismatch"]:
+        assert not rep["passed"]
+        assert [p[:2] for p in rep["pairs"]] == [[k, k] for k in range(min(len(nodes), len(cc)))]
         return
     cost = np.array([[hausdorff(nd.support(), cc.support(b)) for b in range(len(cc))]
                      for nd in nodes])
     rows, cols = linear_sum_assignment(cost)
-    assert rep.pairs == tuple((int(a), int(b), float(cost[a, b])) for a, b in zip(rows, cols))
+    assert rep["pairs"] == [[int(a), int(b), float(cost[a, b])] for a, b in zip(rows, cols)]
 
 
 class TestExpansion:

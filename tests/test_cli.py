@@ -293,6 +293,10 @@ class TestBandCount:
         ({"samples": 0}, "samples=0 must be at least 1"),
         ({"transient": -1}, "transient=-1 must be at least 0"),
         ({"lo": 1.005, "hi": 0.99}, "lo=1.005 must not exceed hi=0.99"),
+        ({"lo": 1.0, "hi": 1.2, "step": 0.05}, "tu parameter mu=1.2 outside [0, "),
+        ({"lo": -0.01, "hi": 1.0}, "tu parameter mu=-0.01 outside [0, "),
+        # hi is in range, but the scan passes it by half a step
+        ({"lo": 1.0, "hi": 1.0375, "step": 0.02}, "tu parameter mu=1.04 outside [0, "),
     ])
     def test_scan_refuses_a_setting_past_its_limit(self, kwargs, limit):
         with pytest.raises(ValueError, match=re.escape(limit)):
@@ -309,6 +313,15 @@ class TestBandCount:
         args = {"columns": 4, "transient": 10, "samples": 10, "bins": 16, **kwargs}
         with pytest.raises(ValueError, match=re.escape(limit)):
             render_bifurcation("tu", 0.99, 1.005, **args)
+
+    @pytest.mark.parametrize("family,param,limit", [
+        ("tent", 2.5, "tent slope s=2.5 outside (0, 2]"),
+        ("logistic", -1.0, "logistic parameter mu=-1.0 outside (0, 4]"),
+        ("tu", 1.04, "tu parameter mu=1.04 outside [0, "),
+    ])
+    def test_band_count_refuses_a_parameter_outside_the_family(self, family, param, limit):
+        with pytest.raises(ValueError, match=re.escape(limit)):
+            band_count(family, param)
 
     def test_band_count_shares_the_check(self, monkeypatch):
         # band_count's settings are module constants; the histogram it

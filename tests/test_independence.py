@@ -1,8 +1,10 @@
 """The analytic side and the chain-recurrence oracle share nothing but map
 evaluation: `chainoracle` imports no module of the package except `maps`,
 and the analytic modules never import `chainoracle`, directly or through
-the package root.  The export lists are honest too: every name in a
-module's `__all__` exists, and the root re-exports only exported names.
+the package root.  The estimator in `backward` never reads the prediction
+it is compared with: it imports only `maps` and `orbits`, and the
+comparisons live in `cli`.  The export lists are honest too: every name in
+a module's `__all__` exists, and the root re-exports only exported names.
 """
 
 import ast
@@ -54,6 +56,33 @@ def test_analytic_side_never_imports_the_oracle(module):
     found = imports_of(module)
     assert "maps" in found
     assert not found & {"chainoracle", "__init__"}
+
+
+def test_estimator_never_reads_the_prediction():
+    assert imports_of("backward") == {"maps", "orbits"}
+
+
+def test_comparisons_live_in_the_comparison_layer(monkeypatch):
+    import unimodal.backward as backward
+    from unimodal import (cli, compare_salpha, expansion_time, match_nodes,
+                          predicted_salpha)
+
+    assert match_nodes.__module__ == "unimodal.cli"
+    assert compare_salpha.__module__ == "unimodal.cli"
+    assert predicted_salpha.__module__ == "unimodal.structure"
+    assert expansion_time.__module__ == "unimodal.orbits"
+    # compare_salpha reaches the estimator through the module attribute, so
+    # a wrapper put there sees every estimate
+    calls = []
+    estimate = backward.salpha
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(backward, "salpha", spy)
+    cli.compare_salpha(1.8, 0.5, depth=12)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("source,found", [
