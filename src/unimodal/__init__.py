@@ -13,7 +13,7 @@ from .structure import (CantorCover, CoreCollection, LevelPartition, Node,
                         analytic_nodes, cantor_cover, classify_attractor,
                         classify_point, core_of_node, is_cyclic, level_partition,
                         node_depth, predicted_salpha, renormalize, trapping_region,
-                        tu_cycle, tu_nodes)
+                        tu_cycle, tu_cycles, tu_nodes)
 from .chainoracle import (ChainClasses, GridGraph, build_grid, chain_classes,
                           conley_graph, recurrent_cells, verify_tower)
 from .backward import (BackwardTree, DenseOrbit, SAlphaEstimate, build_backward_tree,

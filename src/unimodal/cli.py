@@ -14,7 +14,9 @@ Attractor histograms (`bifurcation`, `band_count`, `three_band_window`)
 come from one vectorized pass over all parameter columns.  Every column
 starts from the same perturbed critical point, so a column does not depend
 on its neighbours: `band_count(p)` agrees with the scan at p, and a render
-is the same for a given seed whatever the core count.
+is the same for a given seed whatever the core count.  The tu overlay of a
+render is one batched solve, `tu_cycles`, which gives each column what
+`tu_cycle` gives it alone.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on usage errors.
 """
@@ -33,8 +35,10 @@ from . import backward
 from .chainoracle import ChainClasses, chain_classes, conley_graph, verify_tower
 from .maps import PiecewiseMap, hausdorff, make_logistic, make_tent, make_tu
 from .orbits import critical_orbit, expansion_bound, expansion_time
+# tu_cycle stays a name of this module for the benchmark's tracer, which
+# wraps cli.tu_cycle; the render itself solves all its columns in tu_cycles
 from .structure import (analytic_nodes, classify_attractor, predicted_salpha, tu_cycle,
-                        tu_nodes)
+                        tu_cycles, tu_nodes)
 
 __all__ = ["main", "match_nodes", "compare_salpha", "render_bifurcation", "band_count",
            "three_band_window"]
@@ -281,6 +285,24 @@ def _orbit_histogram(base, scales, transient, samples, bins, seed):
     return counts
 
 
+def _overlay_points(family: str, params):
+    """The continued repelling cycles of each column: every cycle of the
+    tent tower, or the tu period-3 cycle from one batched solve that gives
+    each column what `tu_cycle` gives it alone.  A column gets none for the
+    logistic family or where the family's solve refuses."""
+    if family == "tu":
+        return [[] if cyc is None else list(cyc.points)
+                for cyc in tu_cycles([make_tu(float(p)) for p in params])]
+    out = []
+    for p in params:
+        try:
+            nodes = analytic_nodes(float(p)) if family == "tent" else []
+        except (ValueError, RuntimeError):
+            nodes = []
+        out.append([y for nd in nodes if nd.cycle is not None for y in nd.cycle.points])
+    return out
+
+
 def render_bifurcation(family: str, lo: float, hi: float, columns: int,
                        transient: int, samples: int, bins: int, seed: int = 0):
     """Column-per-parameter histogram of the attractor, plus overlay points.
@@ -298,19 +320,8 @@ def render_bifurcation(family: str, lo: float, hi: float, columns: int,
     img = np.minimum((counts * 254.0 / peak).astype(np.uint8), 254)
     img = img[::-1, :]  # row 0 is the top of the unit interval
 
-    overlay = {}
-    for j, p in enumerate(params):
-        pts = []
-        try:
-            if family == "tent":
-                for nd in analytic_nodes(float(p)):
-                    if nd.cycle is not None:
-                        pts.extend(nd.cycle.points)
-            elif family == "tu":
-                pts.extend(tu_cycle(make_tu(float(p))).points)
-        except (ValueError, RuntimeError):
-            pts = []
-        overlay[j] = pts
+    overlay = dict(enumerate(_overlay_points(family, params)))
+    for j, pts in overlay.items():
         for y in pts:
             r = bins - 1 - min(int(y * bins), bins - 1)
             img[r, j] = 255
@@ -367,12 +378,16 @@ def three_band_window(lo: float, hi: float, step: float = 5e-4,
                       bins: int = _BINS):
     """Maximal parameter run around mu=1 where the tu attractor shows three
     interval bands.  Returns (mu_lo, mu_hi) or None when 1 is not inside
-    such a run.  A scanned mu outside the tu range is refused by name."""
+    such a run.  The scan reads lo, lo + step, ... and stops at hi; a
+    scanned mu outside the tu range is refused by name."""
     _check_histogram(step=step)          # before arange reads it
     if lo > hi:
         raise ValueError(f"lo={lo} must not exceed hi={hi}")
-    mus = np.arange(lo, hi + step / 2, step)
-    # the scan can pass hi by up to half a step
+    # arange's floats, capped at the last column lo + k*step <= hi: arange
+    # runs to hi + step/2, and a column within 1e-9 of a step past hi is
+    # hi up to rounding, so it stays
+    mus = np.arange(lo, hi + step / 2, step)[:math.floor((hi - lo) / step + 1e-9) + 1]
+    # that rounding can still pass the end of the family's range
     base, to_scale = _family_base("tu", lo, hi, mus[-1])
     counts = _orbit_histogram(base, to_scale(mus), transient, samples, bins, _SEED)
     good = [clusters == 3 and occupied >= _MIN_OCCUPIED

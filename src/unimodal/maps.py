@@ -4,7 +4,10 @@ Builds the three map families used throughout the package (tent, logistic,
 and the tent-with-linear-inserts family ``u_mu``), evaluates them on scalars
 or arrays, inverts single branches in closed form, and validates unimodality.
 Scalar and array calls find the branch of a point the same way and apply
-the same arithmetic to it, so they agree bit for bit.
+the same arithmetic to it, so they agree bit for bit.  A ``MapStack`` of
+maps that share their joints evaluates one map per row with that same
+arithmetic, and ``bisect_root`` halves whole arrays of brackets, so a
+family of maps is solved in one array pass.
 
 Every map constructed here has a single interior maximum at ``critical`` and
 fixes the lower boundary: f(a) = f(b) = a.  Maps are immutable after
@@ -14,9 +17,11 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import bisect
+import copy
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +29,8 @@ __all__ = [
     "Interval",
     "Branch",
     "PiecewiseMap",
+    "MapStack",
+    "bisect_root",
     "make_tent",
     "make_logistic",
     "make_tu",
@@ -108,6 +115,35 @@ class Branch:
         return np.clip(xs, lo, hi)
 
 
+class _Tables(NamedTuple):
+    """Per-branch coefficients of the array path, one entry per branch."""
+
+    slope: np.ndarray
+    icpt: np.ndarray
+    qa: np.ndarray
+    quad: np.ndarray | None     # None when no branch is quadratic
+
+    def eval(self, x, k):
+        """Branch k[i]'s arithmetic at x[i]: slope*x + intercept, then
+        a*x*(1-x) on the points of quad branches, the same operations in
+        the same order as ``Branch.__call__``."""
+        out = self.slope[k]     # a fresh array: the products run in place
+        out *= x
+        out += self.icpt[k]
+        if self.quad is not None:
+            quad = self.qa[k]
+            quad *= x
+            quad *= 1.0 - x
+            np.copyto(out, quad, where=self.quad[k])
+        return out
+
+    def slope_at(self, x, k):
+        """Branch k[i]'s derivative at x[i], as ``Branch.slope_at``."""
+        if self.quad is None:
+            return self.slope[k]
+        return np.where(self.quad[k], self.qa[k] * (1.0 - 2.0 * x), self.slope[k])
+
+
 class PiecewiseMap:
     """Continuous unimodal map assembled from monotone branches.
 
@@ -133,10 +169,11 @@ class PiecewiseMap:
         # coefficient tables of the array path; a quad branch has slope and
         # intercept 0, an affine one quad coefficient 0
         quad = [b.shape[0] == "quad" for b in self.branches]
-        self._slope = np.array([0.0 if q else b.shape[1] for q, b in zip(quad, self.branches)])
-        self._icpt = np.array([0.0 if q else b.shape[2] for q, b in zip(quad, self.branches)])
-        self._qa = np.array([b.shape[1] if q else 0.0 for q, b in zip(quad, self.branches)])
-        self._quad = np.array(quad) if any(quad) else None
+        self._tables = _Tables(
+            np.array([0.0 if q else b.shape[1] for q, b in zip(quad, self.branches)]),
+            np.array([0.0 if q else b.shape[2] for q, b in zip(quad, self.branches)]),
+            np.array([b.shape[1] if q else 0.0 for q, b in zip(quad, self.branches)]),
+            np.array(quad) if any(quad) else None)
         self._validate()
 
     def _validate(self):
@@ -164,11 +201,7 @@ class PiecewiseMap:
         if isinstance(x, float) or np.ndim(x) == 0:
             return self._eval_scalar(float(x))
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._cut_array, x, side="right")
-        out = self._slope[idx] * x + self._icpt[idx]
-        if self._quad is not None:
-            np.copyto(out, self._qa[idx] * x * (1.0 - x), where=self._quad[idx])
-        return out
+        return self._tables.eval(x, np.searchsorted(self._cut_array, x, side="right"))
 
     def _eval_scalar(self, x: float) -> float:
         if not self.domain.contains(x, tol=1e-12):
@@ -271,6 +304,67 @@ class PiecewiseMap:
         return f"PiecewiseMap({self.label}, {len(self.branches)} branches)"
 
 
+class MapStack:
+    """Maps that share their interior joints, critical point and domain,
+    evaluated one per row.
+
+    Row r of an array argument is evaluated with map r's coefficient
+    tables through the same expression as ``PiecewiseMap``'s array call,
+    so it equals ``maps[r](x[r])`` bit for bit.  The tables of all maps
+    sit end to end, and row r reads branch k at entry r * branches + k.
+    """
+
+    def __init__(self, maps):
+        self.maps = tuple(maps)
+        first = self.maps[0]
+        if any(not np.array_equal(m._cut_array, first._cut_array)
+               or (m.critical, m.domain) != (first.critical, first.domain) for m in self.maps):
+            raise ValueError("stacked maps must share their joints, critical point and domain")
+        self.critical = first.critical
+        self.domain = first.domain
+        self._cut_array = first._cut_array
+        tables = [m._tables for m in self.maps]
+        quad = [np.zeros(len(t.slope), dtype=bool) if t.quad is None else t.quad
+                for t in tables]
+        self._tables = _Tables(np.concatenate([t.slope for t in tables]),
+                               np.concatenate([t.icpt for t in tables]),
+                               np.concatenate([t.qa for t in tables]),
+                               np.concatenate(quad) if any(q.any() for q in quad) else None)
+        # first table entry of each row
+        self._base = len(first.branches) * np.arange(len(self.maps))
+
+    def __len__(self):
+        return len(self._base)
+
+    def take(self, rows):
+        """The stack whose row i is row rows[i] of this one."""
+        out = copy.copy(self)
+        out._base = self._base[rows]
+        return out
+
+    def _entries(self, x):
+        # table entry of each point: its row's first entry plus its branch
+        k = self.branch_index(x)
+        k += self._base.reshape(self._base.shape + (1,) * (x.ndim - 1))
+        return k
+
+    def branch_index(self, x):
+        """Branch of each point, by the same lookup as ``PiecewiseMap``."""
+        return np.searchsorted(self._cut_array, x, side="right")
+
+    def __call__(self, x):
+        """f_r(x[r]) for every row r; x has one row per map."""
+        x = np.asarray(x, dtype=float)
+        return self._tables.eval(x, self._entries(x))
+
+    iterate = PiecewiseMap.iterate
+
+    def slope_at(self, x):
+        """The derivative of f_r at x[r] for every row r."""
+        x = np.asarray(x, dtype=float)
+        return self._tables.slope_at(x, self._entries(x))
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
@@ -294,20 +388,29 @@ def make_logistic(mu: float) -> PiecewiseMap:
     return PiecewiseMap([up, down], Interval(0.0, 1.0), 0.5, f"logistic:{mu!r}")
 
 
-def bisect_root(g, lo: float, hi: float, tol: float) -> float:
+def bisect_root(g, lo, hi, tol: float):
     """Midpoint of [lo, hi] after halving it, keeping a sign change of g,
-    until it is shorter than tol (at most 200 halvings)."""
+    until it is shorter than tol (at most 200 halvings).
+
+    lo and hi may be arrays of brackets.  g is then called on whole arrays,
+    and each bracket stops at its own first hi - lo < tol, so element k is
+    the midpoint a run on (lo[k], hi[k]) alone returns.  Scalars give a float.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     glo = g(lo)
+    live = np.ones(lo.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gmid = g(mid)
-        if glo * gmid <= 0:
-            hi = mid
-        else:
-            lo, glo = mid, gmid
-        if hi - lo < tol:
+        left = glo * gmid <= 0
+        hi = np.where(live & left, mid, hi)
+        right = live & ~left
+        lo, glo = np.where(right, mid, lo), np.where(right, gmid, glo)
+        live &= ~(hi - lo < tol)
+        if not live.any():
             break
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return float(mid) if mid.ndim == 0 else mid
 
 
 def _logistic_val(x: float, mu: float = TU_BASE_MU) -> float:
@@ -329,9 +432,8 @@ def _period3_cycle_of_base():
 
     xs = np.linspace(0.0, 1.0, 20001)
     vals = g(xs)
-    roots = [bisect_root(g, xs[i], xs[i + 1], 1e-14)
-             for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)]
-    for r in roots:
+    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    for r in bisect_root(g, xs[i], xs[i + 1], 1e-14).tolist():
         if abs(_logistic_val(r) - r) <= 1e-6:
             continue    # a fixed point
         orbit = [r, _logistic_val(r), _logistic_val(_logistic_val(r))]

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Interval, PiecewiseMap, bisect_root
+from .maps import Interval, MapStack, PiecewiseMap, bisect_root
 
-__all__ = ["Cycle", "critical_orbit", "expansion_bound", "expansion_time", "find_cycle",
-           "make_cycle"]
+__all__ = ["Cycle", "critical_orbit", "cycle_at", "expansion_bound", "expansion_time",
+           "find_cycle", "find_cycles", "make_cycle", "make_cycles"]
 
 _BISECT_TOL = 1e-12
 
@@ -45,52 +45,100 @@ def critical_orbit(m: PiecewiseMap, n: int):
     return out
 
 
-def _lap_signature(m: PiecewiseMap, x: float, period: int):
+_THROUGH_C = "multiplier undefined: cycle passes through the critical point"
+
+# find_cycle's refusals, in the order its rules are checked; a bracket's
+# fault is the index of the first rule it breaks, 0 when it breaks none
+_FAULTS = (None,
+           "bracket leaves the domain of the map",
+           "bracket straddles a lap boundary of f^period",
+           "no sign change of f^period - id on the bracket",
+           _THROUGH_C,
+           "bisection result is not a genuine cycle (defect above 1e-10)")
+
+
+def _lap_signatures(stack: MapStack, x, period: int):
     sig = []
     for _ in range(period):
-        sig.append(m.branch_index(x))
-        x = m(x)
-    return tuple(sig)
+        sig.append(stack.branch_index(x))
+        x = stack(x)
+    return np.stack(sig, axis=-1)
+
+
+def find_cycles(stack: MapStack, period: int, lo, hi):
+    """find_cycle on an array of brackets at once: bracket k is
+    [lo[k], hi[k]] on the map of row k of stack.
+
+    Returns (points, multipliers, faults) as make_cycles does, with
+    faults[k] the first rule bracket k breaks (0 for a genuine cycle): it
+    must lie in the domain, stay inside one monotone lap of f^period (the
+    itineraries of its ends agree) and straddle a sign change of
+    f^period - id; the cycle bisected from it must miss the critical point
+    and close up to 1e-10.
+    """
+    g = lambda x: stack.iterate(x, period) - x
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    pts, lam, through_c = make_cycles(stack, bisect_root(g, lo, hi, _BISECT_TOL), period)
+    defect = np.zeros(len(lo))
+    for i in range(period):
+        defect = np.maximum(defect, np.abs(stack(pts[:, i]) - pts[:, (i + 1) % period]))
+    outside = (lo < stack.domain.lo - 1e-12) | (hi > stack.domain.hi + 1e-12)
+    straddles = _lap_signatures(stack, lo, period) != _lap_signatures(stack, hi, period)
+    rules = [outside, straddles.any(axis=1), g(lo) * g(hi) > 0, through_c, defect > 1e-10]
+    return pts, lam, np.select(rules, np.arange(1, len(rules) + 1), 0)
 
 
 def find_cycle(m: PiecewiseMap, period: int, bracket: Interval) -> Cycle:
     """Locate a period-`period` point by bisection of f^period(x) - x.
 
-    The bracket must straddle a sign change and stay inside one monotone lap
-    of f^period (checked via the itinerary of its endpoints); both violations
-    raise ValueError.
+    The bracket must lie in the domain, straddle a sign change and stay
+    inside one monotone lap of f^period (checked via the itinerary of its
+    endpoints); each violation raises ValueError, as does a result through
+    the critical point or one that does not close up to 1e-10.  The batch
+    of one of `find_cycles`.
     """
-    lo, hi = bracket.lo, bracket.hi
-    if _lap_signature(m, lo, period) != _lap_signature(m, hi, period):
-        raise ValueError("bracket straddles a lap boundary of f^period")
-    g = lambda x: m.iterate(x, period) - x
-    if g(lo) * g(hi) > 0:
-        raise ValueError("no sign change of f^period - id on the bracket")
-    cyc = make_cycle(m, bisect_root(g, lo, hi, _BISECT_TOL), period)
-    err = max(abs(m(cyc.points[i]) - cyc.points[(i + 1) % period]) for i in range(period))
-    if err > 1e-10:
-        raise ValueError(f"bisection result is not a genuine cycle (defect {err:.3g})")
-    return cyc
+    pts, lam, faults = find_cycles(MapStack([m]), period, [bracket.lo], [bracket.hi])
+    if faults[0]:
+        raise ValueError(_FAULTS[faults[0]])
+    return cycle_at(pts, lam, 0)
 
 
-def _multiplier(m: PiecewiseMap, points) -> float:
-    lam = 1.0
-    for x in points:
-        if abs(x - m.critical) <= 1e-12:
-            raise ValueError("multiplier undefined: cycle passes through the critical point")
-        lam *= m.slope_at(x)
-    return lam
+def make_cycles(stack: MapStack, x, period: int):
+    """The orbits of the points x, one per row of stack, with no
+    root-finding.
+
+    Returns (points, multipliers, through_c): points[k] is the orbit of
+    x[k] rotated to start at its smallest point, multipliers[k] the product
+    of the branch slopes along it in that order, and through_c[k] whether
+    it passes within 1e-12 of the critical point, where no slope is defined.
+    """
+    x = np.asarray(x, dtype=float)
+    pts = np.empty((len(x), period))
+    pts[:, 0] = x
+    for i in range(1, period):
+        pts[:, i] = stack(pts[:, i - 1])
+    first = np.argmin(pts, axis=1)
+    pts = np.take_along_axis(pts, (first[:, None] + np.arange(period)) % period, axis=1)
+    lam = np.ones(len(x))
+    for i in range(period):
+        lam *= stack.slope_at(pts[:, i])
+    through_c = (np.abs(pts - stack.critical) <= 1e-12).any(axis=1)
+    return pts, lam, through_c
+
+
+def cycle_at(points, multipliers, k: int) -> Cycle:
+    """Row k of a make_cycles or find_cycles result as a Cycle."""
+    return Cycle(tuple(points[k].tolist()), points.shape[1], float(multipliers[k]))
 
 
 def make_cycle(m: PiecewiseMap, x: float, period: int) -> Cycle:
     """Package a known periodic point into a Cycle (no root-finding),
-    rotated to start at its smallest point."""
-    pts = [x]
-    for _ in range(period - 1):
-        pts.append(m(pts[-1]))
-    k = int(np.argmin(pts))
-    pts = pts[k:] + pts[:k]
-    return Cycle(tuple(pts), period, _multiplier(m, pts))
+    rotated to start at its smallest point: the batch of one of
+    `make_cycles`, refused when it passes through the critical point."""
+    pts, lam, through_c = make_cycles(MapStack([m]), [x], period)
+    if through_c[0]:
+        raise ValueError(_THROUGH_C)
+    return cycle_at(pts, lam, 0)
 
 
 def expansion_bound(m: PiecewiseMap, lo: float, hi: float) -> int:

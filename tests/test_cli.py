@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import unimodal
-from unimodal import cli
+from unimodal import cli, make_tu, tu_cycle
+from unimodal.maps import TU_BASE_MU
 from unimodal.cli import (_family_base, _orbit_histogram, band_count, main,
                           render_bifurcation, three_band_window)
 
@@ -246,6 +247,21 @@ class TestBifurcation:
         assert any(overlay[j] for j in range(len(params)))
         assert (img == 255).any()
 
+    def test_tu_overlay_is_tu_cycle_column_by_column(self):
+        # the whole tu range, hits and misses, over several chunks of the
+        # batched solve
+        hi = 4.0 / TU_BASE_MU
+        _, params, overlay = render_bifurcation("tu", 0.0, hi, 201, 0, 1, 1)
+        found = []
+        for j, p in enumerate(params):
+            try:
+                want = list(tu_cycle(make_tu(float(p))).points)
+            except ValueError:
+                want = []
+            assert overlay[j] == want
+            found.append(bool(want))
+        assert 0 < sum(found) < len(found)
+
     @pytest.mark.parametrize("family,lo,hi", [("tent", 1.3, 1.9), ("tu", 0.99, 1.005)])
     def test_column_is_independent_of_its_neighbours(self, family, lo, hi):
         img, params, _ = render_bifurcation(family, lo, hi, 16, 200, 200, 64, seed=3)
@@ -282,8 +298,19 @@ class TestBandCount:
             one = _orbit_histogram(base, np.array([to_scale(p)]), 200, 300, 100, 0)
             assert np.array_equal(counts[:, j], one[:, 0])
 
-    def test_three_band_window_is_unchanged(self):
+    def test_three_band_window_is_unchanged(self, monkeypatch):
         assert three_band_window(0.99, 1.005) == (0.9959999999999993, 1.0004999999999988)
+        # arange's third value, 1.04, passes hi = 1.0375: the scan stops at 1.02
+        scanned = []
+        histogram = cli._orbit_histogram
+
+        def spy(base, scales, *args):
+            scanned.append(scales.tolist())
+            return histogram(base, scales, *args)
+
+        monkeypatch.setattr(cli, "_orbit_histogram", spy)
+        assert three_band_window(1.0, 1.0375, step=0.02) == (1.0, 1.0)
+        assert scanned == [[1.0, 1.02]]
 
     @pytest.mark.parametrize("kwargs,limit", [
         ({"step": 0.0}, "step=0.0 must be positive"),
@@ -295,8 +322,6 @@ class TestBandCount:
         ({"lo": 1.005, "hi": 0.99}, "lo=1.005 must not exceed hi=0.99"),
         ({"lo": 1.0, "hi": 1.2, "step": 0.05}, "tu parameter mu=1.2 outside [0, "),
         ({"lo": -0.01, "hi": 1.0}, "tu parameter mu=-0.01 outside [0, "),
-        # hi is in range, but the scan passes it by half a step
-        ({"lo": 1.0, "hi": 1.0375, "step": 0.02}, "tu parameter mu=1.04 outside [0, "),
     ])
     def test_scan_refuses_a_setting_past_its_limit(self, kwargs, limit):
         with pytest.raises(ValueError, match=re.escape(limit)):

@@ -15,7 +15,7 @@ from unimodal import (
     subtract_intervals,
     tu_skeleton,
 )
-from unimodal.maps import TU_BASE_MU
+from unimodal.maps import TU_BASE_MU, MapStack, bisect_root
 
 
 def reference_interval_image(m, lo, hi):
@@ -370,3 +370,72 @@ def test_array_eval_is_the_branch_loop_and_the_scalar_call_bit_for_bit(family, d
     assert np.array_equal(got, reference_eval(m, xs))
     assert got.tolist() == [m(float(x)) for x in xs]
     assert [m.branch_index(float(x)) for x in xs] == reference_branch_index(m, xs).tolist()
+
+
+# families whose maps share their joints, critical point and domain, so any
+# mix of them stacks
+_STACKS = {"tu": ["tu"], "halves": ["tent", "logistic"]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(group=st.sampled_from(sorted(_STACKS)), data=st.data(),
+       drawn=st.lists(st.floats(0.0, 1.0), max_size=30))
+def test_stacked_eval_is_each_maps_own_array_call(group, data, drawn):
+    """Row r of a stack evaluates like map r's own array call, and its
+    slopes like map r's scalar slope_at, bit for bit, on drawn points and
+    every joint, with each row's points in its own order; a taken row
+    evaluates like the row it was taken from."""
+    families = data.draw(st.lists(st.sampled_from(_STACKS[group]), min_size=1, max_size=6))
+    maps = [_EVAL_FAMILIES[f][0](data.draw(_EVAL_FAMILIES[f][1])) for f in families]
+    stack = MapStack(maps)
+    xs = np.array(drawn + [e for b in maps[0].branches for e in b.domain])
+    x = np.array([np.roll(xs, r) for r in range(len(maps))])
+    got, slopes = stack(x), stack.slope_at(x)
+    for r, m in enumerate(maps):
+        assert got[r].tolist() == m(x[r]).tolist()
+        assert slopes[r].tolist() == [m.slope_at(float(v)) for v in x[r]]
+    rows = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=8))
+    taken = stack.take(np.array(rows))
+    assert taken(x[rows]).tolist() == [maps[r](x[r]).tolist() for r in rows]
+    assert taken(x[rows, 0]).tolist() == [maps[r](float(x[r, 0])) for r in rows]
+
+
+def test_stack_refuses_maps_with_other_joints():
+    with pytest.raises(ValueError, match="share their joints"):
+        MapStack([make_tu(1.0), make_tent(1.5)])
+
+
+def reference_bisect(g, lo, hi, tol):
+    # The scalar loop on Python floats: halve, keep the sign change, stop
+    # at the first hi - lo < tol.
+    glo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gmid = g(mid)
+        if glo * gmid <= 0:
+            hi = mid
+        else:
+            lo, glo = mid, gmid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([1e-14, 1e-12, 1e-6, 1e-2]),
+       mus=st.lists(st.floats(0.0, 4.0 / TU_BASE_MU), min_size=1, max_size=6))
+def test_array_bisect_is_the_scalar_runs(data, tol, mus):
+    """Each bracket of an array bisection stops at its own first
+    hi - lo < tol and ends where a scalar run on it alone ends."""
+    maps = [make_tu(mu) for mu in mus]
+    ends = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                              min_size=len(maps), max_size=len(maps)))
+    lo = np.array([min(e) for e in ends])
+    hi = np.array([max(e) for e in ends])
+    stack = MapStack(maps)
+    got = bisect_root(lambda x: stack.iterate(x, 3) - x, lo, hi, tol)
+    for r, m in enumerate(maps):
+        g = lambda x: m.iterate(x, 3) - x
+        want = reference_bisect(g, float(lo[r]), float(hi[r]), tol)
+        assert got[r] == want
+        assert bisect_root(g, float(lo[r]), float(hi[r]), tol) == want

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +21,13 @@ from unimodal import (
     node_depth,
     renormalize,
     trapping_region,
+    make_cycle,
     tu_cycle,
+    tu_cycles,
     tu_nodes,
     tu_skeleton,
 )
-from unimodal.maps import bisect_root
+from unimodal.maps import TU_BASE_MU, bisect_root
 from unimodal.structure import tent_parameter
 
 # tower depth for a selection of slopes, worked out from log2(log2 s)
@@ -392,6 +396,64 @@ class TestCantorCover:
             cantor_cover(u, tr, 0)
 
 
+def reference_cycle(m, x, period):
+    # The scalar packaging: the orbit by scalar calls, rotated to its
+    # smallest point, the slopes multiplied in that order; None through c.
+    pts = [x]
+    for _ in range(period - 1):
+        pts.append(m(pts[-1]))
+    k = int(np.argmin(pts))
+    pts = pts[k:] + pts[:k]
+    lam = 1.0
+    for p in pts:
+        if abs(p - m.critical) <= 1e-12:
+            return None
+        lam *= m.slope_at(p)
+    return tuple(pts), lam
+
+
+def reference_find_cycle(m, period, lo, hi):
+    # The scalar rules on one bracket, None where one fails: the same
+    # itinerary at both ends, a sign change, an orbit off c that closes.
+    def itinerary(x):
+        out = []
+        for _ in range(period):
+            out.append(m.branch_index(x))
+            x = m(x)
+        return out
+
+    g = lambda x: m.iterate(x, period) - x
+    if itinerary(lo) != itinerary(hi) or g(lo) * g(hi) > 0:
+        return None
+    cyc = reference_cycle(m, bisect_root(g, lo, hi, 1e-12), period)
+    if cyc is None or max(abs(m(cyc[0][i]) - cyc[0][(i + 1) % period])
+                          for i in range(period)) > 1e-10:
+        return None
+    return cyc
+
+
+def reference_tu_cycle(m):
+    # The per-map loop: the periodic skeleton point as it is, else every
+    # bracket of the 600-point lap grids solved one by one, the regular
+    # positive-multiplier orbits kept, the first nearest the skeleton won.
+    sk = tu_skeleton()
+    x0, ref = sk["p1"], (sk["p1"], sk["p2"], sk["p3"])
+    if abs(m.iterate(x0, 3) - x0) <= 1e-12:
+        return reference_cycle(m, x0, 3)
+    found = []
+    for lap in [b.domain for b in m.branches if b.domain.contains(x0)]:
+        xs = np.linspace(lap.lo + 1e-12, lap.hi - 1e-12, 600)
+        sgn = np.sign(m.iterate(xs, 3) - xs)
+        for i in np.flatnonzero(sgn[:-1] * sgn[1:] < 0):
+            cyc = reference_find_cycle(m, 3, float(xs[i]), float(xs[i + 1]))
+            if cyc and min(abs(a - b) for a, b in itertools.combinations(cyc[0], 2)) > 1e-9 \
+                    and cyc[1] > 0:
+                found.append(cyc)
+    if not found:
+        return None
+    return min(found, key=lambda cyc: sum(min(abs(p - q) for q in ref) for p in cyc[0]))
+
+
 class TestTuTower:
     def test_cycle_at_window_center(self):
         cyc = tu_cycle(make_tu(1.0))
@@ -410,6 +472,36 @@ class TestTuTower:
             for _ in range(3):
                 x = m(x)
             assert x == pytest.approx(cyc.points[0], abs=1e-9)
+
+    def test_batched_solve_is_the_per_map_loop(self):
+        # the whole tu range, hits and misses, in several chunks, and mu = 1,
+        # where the skeleton point itself is periodic; points and
+        # multipliers compared with ==
+        maps = [make_tu(float(mu)) for mu in np.linspace(0.0, 4.0 / TU_BASE_MU, 150)]
+        maps.insert(70, make_tu(1.0))
+        got = tu_cycles(maps)
+        for m, cyc in zip(maps, got):
+            want = reference_tu_cycle(m)
+            assert (cyc and (cyc.points, cyc.multiplier)) == want
+            try:
+                assert tu_cycle(m) == cyc
+            except ValueError:
+                assert cyc is None
+        assert got[70] == make_cycle(maps[70], tu_skeleton()["p1"], 3)
+        assert 0 < got.count(None) < len(maps)
+
+    def test_batched_solve_scratch_stays_under_4mb(self):
+        # a render's 300 columns; scanning them all at once would hold
+        # about 15 MB of scratch
+        maps = [make_tu(float(mu)) for mu in np.linspace(0.99, 1.005, 300)]
+        tu_cycles(maps[:1])
+        tracemalloc.start()
+        try:
+            tu_cycles(maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_no_cycle_below_the_saddle_node(self):
         with pytest.raises(ValueError):
