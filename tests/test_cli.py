@@ -322,6 +322,8 @@ class TestBandCount:
         ({"lo": 1.005, "hi": 0.99}, "lo=1.005 must not exceed hi=0.99"),
         ({"lo": 1.0, "hi": 1.2, "step": 0.05}, "tu parameter mu=1.2 outside [0, "),
         ({"lo": -0.01, "hi": 1.0}, "tu parameter mu=-0.01 outside [0, "),
+        # the scan's last column, hi itself, is just past the tu range
+        ({"lo": 1.0, "hi": 1.04, "step": 0.02}, "tu parameter mu=1.04 outside [0, "),
     ])
     def test_scan_refuses_a_setting_past_its_limit(self, kwargs, limit):
         with pytest.raises(ValueError, match=re.escape(limit)):
