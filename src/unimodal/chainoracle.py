@@ -7,7 +7,9 @@ domain is cut into n cells, an edge i -> j is drawn when every point of
 cell j lies within eps of the image of cell i's center, and the
 chain-recurrent set, its classes, and the reachability order between them
 are read off the directed graph.  Strongly connected components come from
-scipy; everything else is plain array work.
+scipy; everything else is plain array work.  scipy loads at the first
+oracle call, not on import: it was 230 of the 350 ms of `import unimodal`
+on 2 cores, and most callers never run the oracle.
 
 The chain-recurrent set is the intersection of the eps-chain-recurrent
 sets over all eps > 0, and one eps is enough to compute it on a fixed
@@ -34,8 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .maps import Interval, PiecewiseMap
 
@@ -99,7 +99,9 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
     return cells, ends
 
 
-def _sparse(g: GridGraph) -> csr_matrix:
+def _sparse(g: GridGraph):
+    # here, not at module top: scipy was 230 of the 350 ms of `import unimodal`
+    from scipy.sparse import csr_matrix
     idx, ends = _expand(g.jlo, g.jhi)
     indptr = np.concatenate(([0], ends))
     return csr_matrix((np.ones(len(idx), np.int8), idx, indptr), shape=(g.n, g.n))
@@ -111,6 +113,7 @@ def recurrent_cells(g: GridGraph):
     A cell is recurrent when its strongly connected component has at least
     two cells or carries a self-loop.
     """
+    from scipy.sparse.csgraph import connected_components
     ncomp, lab = connected_components(_sparse(g), directed=True, connection="strong")
     sizes = np.bincount(lab, minlength=ncomp)
     ar = np.arange(g.n)
@@ -170,6 +173,8 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     cells = np.flatnonzero(rec)
     if len(cells) == 0:
         raise ValueError("no chain-recurrent cells: eps is too fine for this grid")
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
 
     # Classes are strong components glued when their recurrent cells lie at
     # most three cells apart: an undirected graph with one node per label of

@@ -419,11 +419,25 @@ def test_installed_entry_point():
     assert "tent:2.0" in proc.stdout
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def _main_exits_0(argv):
+    return f"from unimodal.cli import main\nassert main({argv!r}) == 0"
+
+
+# scipy is the oracle's alone: a fresh process that never builds chain
+# classes never loads it, and one that does loads it at its first call
+@pytest.mark.parametrize("code,prefix,loaded", [
+    ("import unimodal", "scipy.optimize", False),
+    ("import unimodal; unimodal.tu_skeleton()", "scipy", False),
+    (_main_exits_0(["nodes", "--s", "1.5"]), "scipy", False),
+    (_main_exits_0(["salpha", "--s", "1.5", "--x", "0.3", "--depth", "12"]), "scipy", False),
+    (_main_exits_0(BIFURCATION + ["--out", "d.pgm"]), "scipy", False),
+    (_main_exits_0(["verify", "--s", "1.8", "--n", "2000"]), "scipy", True),
+], ids=["import", "tu_skeleton", "nodes", "salpha", "bifurcation", "verify"])
+def test_scipy_loads_only_where_the_oracle_runs(code, prefix, loaded, tmp_path):
     src = str(Path(unimodal.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, unimodal; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    code = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "[]"
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout.splitlines()[-1] != "[]") == loaded
