@@ -245,8 +245,8 @@ def dense_backward_orbit(m: PiecewiseMap, delta: float,
     _LOOKAHEAD preimage rows.  Every step satisfies f(x_{k+1}) = x_k to 1e-9
     by construction (preimages are closed-form branch inversions).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta={delta} must be positive and finite")
     core = Interval(*sorted(critical_orbit(m, 2)))
     c2, c1 = core
     net = np.arange(c2 + delta / 2.0, c1, delta)

@@ -15,8 +15,8 @@ come from one vectorized pass over all parameter columns.  Every column
 starts from the same perturbed critical point, so a column does not depend
 on its neighbours: `band_count(p)` agrees with the scan at p, and a render
 is the same for a given seed whatever the core count.  The tu overlay of a
-render is one batched solve, `tu_cycles`, which gives each column what
-`tu_cycle` gives it alone.
+render is one batched solve on its parameters, `tu_cycles`, which gives
+each column what `tu_cycle` gives it alone.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on usage errors.
 """
@@ -291,13 +291,12 @@ def _overlay_points(family: str, params):
     each column what `tu_cycle` gives it alone.  A column gets none for the
     logistic family or where the family's solve refuses."""
     if family == "tu":
-        return [[] if cyc is None else list(cyc.points)
-                for cyc in tu_cycles([make_tu(float(p)) for p in params])]
+        return [[] if cyc is None else list(cyc.points) for cyc in tu_cycles(params)]
     out = []
     for p in params:
         try:
             nodes = analytic_nodes(float(p)) if family == "tent" else []
-        except (ValueError, RuntimeError):
+        except ValueError:
             nodes = []
         out.append([y for nd in nodes if nd.cycle is not None for y in nd.cycle.points])
     return out
@@ -380,7 +379,8 @@ def three_band_window(lo: float, hi: float, step: float = 5e-4,
     interval bands.  Returns (mu_lo, mu_hi) or None when 1 is not inside
     such a run.  The scan reads lo, lo + step, ... and stops at hi; a
     scanned mu outside the tu range is refused by name."""
-    _check_histogram(step=step)          # before arange reads it
+    # every refusal comes before the answer None
+    _check_histogram(transient=transient, samples=samples, bins=bins, step=step)
     if lo > hi:
         raise ValueError(f"lo={lo} must not exceed hi={hi}")
     # arange's floats, capped at the last column lo + k*step <= hi: arange
@@ -389,6 +389,8 @@ def three_band_window(lo: float, hi: float, step: float = 5e-4,
     mus = np.arange(lo, hi + step / 2, step)[:math.floor((hi - lo) / step + 1e-9) + 1]
     # that rounding can still pass the end of the family's range
     base, to_scale = _family_base("tu", lo, hi, mus[-1])
+    if not lo <= 1.0 <= hi:
+        return None
     counts = _orbit_histogram(base, to_scale(mus), transient, samples, bins, _SEED)
     good = [clusters == 3 and occupied >= _MIN_OCCUPIED
             for clusters, occupied in map(_bands, counts.T)]

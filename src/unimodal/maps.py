@@ -4,10 +4,10 @@ Builds the three map families used throughout the package (tent, logistic,
 and the tent-with-linear-inserts family ``u_mu``), evaluates them on scalars
 or arrays, inverts single branches in closed form, and validates unimodality.
 Scalar and array calls find the branch of a point the same way and apply
-the same arithmetic to it, so they agree bit for bit.  A ``MapStack`` of
-maps that share their joints evaluates one map per row with that same
+the same arithmetic to it, so they agree bit for bit.  A ``MapStack``
+scales one base map per row and evaluates each row with that same
 arithmetic, and ``bisect_root`` halves whole arrays of brackets, so a
-family of maps is solved in one array pass.
+family such as u_mu = mu * u_1 is solved in one array pass.
 
 Every map constructed here has a single interior maximum at ``critical`` and
 fixes the lower boundary: f(a) = f(b) = a.  Maps are immutable after
@@ -17,7 +17,6 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import bisect
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -305,55 +304,47 @@ class PiecewiseMap:
 
 
 class MapStack:
-    """Maps that share their interior joints, critical point and domain,
-    evaluated one per row.
-
-    Row r of an array argument is evaluated with map r's coefficient
-    tables through the same expression as ``PiecewiseMap``'s array call,
-    so it equals ``maps[r](x[r])`` bit for bit.  The tables of all maps
-    sit end to end, and row r reads branch k at entry r * branches + k.
+    """One base map scaled per row: row r's coefficient tables are the
+    base map's times scales[r], read by the same expression as
+    ``PiecewiseMap``'s array call.  ``make_tu`` multiplies each coefficient
+    by mu exactly once, so row r of a stack of ``make_tu(1.0)`` evaluates
+    as ``make_tu(scales[r])`` does, bit for bit, and ``MapStack(m, [1.0])``
+    as m does.  The tables of all rows sit end to end, and row r reads
+    branch k at entry r * branches + k.
     """
 
-    def __init__(self, maps):
-        self.maps = tuple(maps)
-        first = self.maps[0]
-        if any(not np.array_equal(m._cut_array, first._cut_array)
-               or (m.critical, m.domain) != (first.critical, first.domain) for m in self.maps):
-            raise ValueError("stacked maps must share their joints, critical point and domain")
-        self.critical = first.critical
-        self.domain = first.domain
-        self._cut_array = first._cut_array
-        tables = [m._tables for m in self.maps]
-        quad = [np.zeros(len(t.slope), dtype=bool) if t.quad is None else t.quad
-                for t in tables]
-        self._tables = _Tables(np.concatenate([t.slope for t in tables]),
-                               np.concatenate([t.icpt for t in tables]),
-                               np.concatenate([t.qa for t in tables]),
-                               np.concatenate(quad) if any(q.any() for q in quad) else None)
+    def __init__(self, base: PiecewiseMap, scales):
+        self.base = base
+        self.scales = np.asarray(scales, dtype=float)
+        self.critical = base.critical
+        self.domain = base.domain
+        t = base._tables
+        col = self.scales[:, None]
+        self._tables = _Tables((t.slope * col).ravel(), (t.icpt * col).ravel(),
+                               (t.qa * col).ravel(),
+                               None if t.quad is None else np.tile(t.quad, len(col)))
         # first table entry of each row
-        self._base = len(first.branches) * np.arange(len(self.maps))
+        self._first = len(base.branches) * np.arange(len(col))
 
     def __len__(self):
-        return len(self._base)
+        return len(self.scales)
 
     def take(self, rows):
         """The stack whose row i is row rows[i] of this one."""
-        out = copy.copy(self)
-        out._base = self._base[rows]
-        return out
+        return MapStack(self.base, self.scales[rows])
 
     def _entries(self, x):
         # table entry of each point: its row's first entry plus its branch
         k = self.branch_index(x)
-        k += self._base.reshape(self._base.shape + (1,) * (x.ndim - 1))
+        k += self._first.reshape(self._first.shape + (1,) * (x.ndim - 1))
         return k
 
     def branch_index(self, x):
         """Branch of each point, by the same lookup as ``PiecewiseMap``."""
-        return np.searchsorted(self._cut_array, x, side="right")
+        return np.searchsorted(self.base._cut_array, x, side="right")
 
     def __call__(self, x):
-        """f_r(x[r]) for every row r; x has one row per map."""
+        """f_r(x[r]) for every row r; x has one row per scale."""
         x = np.asarray(x, dtype=float)
         return self._tables.eval(x, self._entries(x))
 

@@ -1,5 +1,6 @@
 """Forward orbits, critical orbits, fixed points, periodic cycles, and the
-forward expansion of an interval over the core."""
+forward expansion of an interval over the core.  `make_cycles` owns the
+rules of a cycle, `find_cycles` adds those of a bracket."""
 
 from __future__ import annotations
 
@@ -45,16 +46,15 @@ def critical_orbit(m: PiecewiseMap, n: int):
     return out
 
 
-_THROUGH_C = "multiplier undefined: cycle passes through the critical point"
-
-# find_cycle's refusals, in the order its rules are checked; a bracket's
-# fault is the index of the first rule it breaks, 0 when it breaks none
+# the cycle rules, in the order they are checked: a result's fault is the
+# index of the first rule it breaks, 0 when it breaks none.  find_cycles
+# checks its bracket (1-3), make_cycles the orbit (4-5)
 _FAULTS = (None,
            "bracket leaves the domain of the map",
            "bracket straddles a lap boundary of f^period",
            "no sign change of f^period - id on the bracket",
-           _THROUGH_C,
-           "bisection result is not a genuine cycle (defect above 1e-10)")
+           "multiplier undefined: cycle passes through the critical point",
+           "not a genuine cycle: defect above 1e-10")
 
 
 def _lap_signatures(stack: MapStack, x, period: int):
@@ -67,25 +67,21 @@ def _lap_signatures(stack: MapStack, x, period: int):
 
 def find_cycles(stack: MapStack, period: int, lo, hi):
     """find_cycle on an array of brackets at once: bracket k is
-    [lo[k], hi[k]] on the map of row k of stack.
+    [lo[k], hi[k]] on row k of stack.
 
     Returns (points, multipliers, faults) as make_cycles does, with
     faults[k] the first rule bracket k breaks (0 for a genuine cycle): it
     must lie in the domain, stay inside one monotone lap of f^period (the
     itineraries of its ends agree) and straddle a sign change of
-    f^period - id; the cycle bisected from it must miss the critical point
-    and close up to 1e-10.
+    f^period - id; then the cycle bisected from it must pass make_cycles.
     """
     g = lambda x: stack.iterate(x, period) - x
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    pts, lam, through_c = make_cycles(stack, bisect_root(g, lo, hi, _BISECT_TOL), period)
-    defect = np.zeros(len(lo))
-    for i in range(period):
-        defect = np.maximum(defect, np.abs(stack(pts[:, i]) - pts[:, (i + 1) % period]))
+    pts, lam, faults = make_cycles(stack, bisect_root(g, lo, hi, _BISECT_TOL), period)
     outside = (lo < stack.domain.lo - 1e-12) | (hi > stack.domain.hi + 1e-12)
     straddles = _lap_signatures(stack, lo, period) != _lap_signatures(stack, hi, period)
-    rules = [outside, straddles.any(axis=1), g(lo) * g(hi) > 0, through_c, defect > 1e-10]
-    return pts, lam, np.select(rules, np.arange(1, len(rules) + 1), 0)
+    rules = [outside, straddles.any(axis=1), g(lo) * g(hi) > 0]
+    return pts, lam, np.select(rules, [1, 2, 3], faults)
 
 
 def find_cycle(m: PiecewiseMap, period: int, bracket: Interval) -> Cycle:
@@ -93,37 +89,38 @@ def find_cycle(m: PiecewiseMap, period: int, bracket: Interval) -> Cycle:
 
     The bracket must lie in the domain, straddle a sign change and stay
     inside one monotone lap of f^period (checked via the itinerary of its
-    endpoints); each violation raises ValueError, as does a result through
-    the critical point or one that does not close up to 1e-10.  The batch
-    of one of `find_cycles`.
+    endpoints), and the result must pass the rules of make_cycles; each
+    violation raises ValueError.  The batch of one of `find_cycles`.
     """
-    pts, lam, faults = find_cycles(MapStack([m]), period, [bracket.lo], [bracket.hi])
-    if faults[0]:
-        raise ValueError(_FAULTS[faults[0]])
-    return cycle_at(pts, lam, 0)
+    return _only_cycle(*find_cycles(MapStack(m, [1.0]), period, [bracket.lo], [bracket.hi]))
 
 
 def make_cycles(stack: MapStack, x, period: int):
-    """The orbits of the points x, one per row of stack, with no
-    root-finding.
+    """The orbits of the points x, one per row of stack, with no root-finding.
 
-    Returns (points, multipliers, through_c): points[k] is the orbit of
-    x[k] rotated to start at its smallest point, multipliers[k] the product
-    of the branch slopes along it in that order, and through_c[k] whether
-    it passes within 1e-12 of the critical point, where no slope is defined.
+    Returns (points, multipliers, faults): points[k] is the orbit of x[k]
+    rotated to start at its smallest point, multipliers[k] the product of
+    the branch slopes along it in that order, and faults[k] the first rule
+    it breaks: 4 through c (within 1e-12, where no slope is defined), 5 a
+    defect above 1e-10 where the orbit closes, 0 none.  A period below 1 is
+    refused.
     """
+    if period < 1:
+        raise ValueError(f"period={period} must be at least 1")
     x = np.asarray(x, dtype=float)
     pts = np.empty((len(x), period))
     pts[:, 0] = x
     for i in range(1, period):
         pts[:, i] = stack(pts[:, i - 1])
+    # every other step of the orbit holds exactly: it is how the points came
+    defect = np.abs(stack(pts[:, -1]) - x)
     first = np.argmin(pts, axis=1)
     pts = np.take_along_axis(pts, (first[:, None] + np.arange(period)) % period, axis=1)
     lam = np.ones(len(x))
     for i in range(period):
         lam *= stack.slope_at(pts[:, i])
     through_c = (np.abs(pts - stack.critical) <= 1e-12).any(axis=1)
-    return pts, lam, through_c
+    return pts, lam, np.select([through_c, defect > 1e-10], [4, 5], 0)
 
 
 def cycle_at(points, multipliers, k: int) -> Cycle:
@@ -131,14 +128,17 @@ def cycle_at(points, multipliers, k: int) -> Cycle:
     return Cycle(tuple(points[k].tolist()), points.shape[1], float(multipliers[k]))
 
 
+def _only_cycle(points, multipliers, faults) -> Cycle:
+    if faults[0]:
+        raise ValueError(_FAULTS[faults[0]])
+    return cycle_at(points, multipliers, 0)
+
+
 def make_cycle(m: PiecewiseMap, x: float, period: int) -> Cycle:
     """Package a known periodic point into a Cycle (no root-finding),
     rotated to start at its smallest point: the batch of one of
-    `make_cycles`, refused when it passes through the critical point."""
-    pts, lam, through_c = make_cycles(MapStack([m]), [x], period)
-    if through_c[0]:
-        raise ValueError(_THROUGH_C)
-    return cycle_at(pts, lam, 0)
+    `make_cycles`, refused when it breaks one of their rules."""
+    return _only_cycle(*make_cycles(MapStack(m, [1.0]), [x], period))
 
 
 def expansion_bound(m: PiecewiseMap, lo: float, hi: float) -> int:
@@ -158,8 +158,8 @@ def expansion_bound(m: PiecewiseMap, lo: float, hi: float) -> int:
     c1, c2 = critical_orbit(m, 2)
     core = c1 - c2
     d = hi - lo
-    if d <= 0:
-        raise ValueError("empty interval")
+    if not d > 0:       # a NaN end fails this too
+        raise ValueError(f"interval [{lo}, {hi}] is empty: need lo < hi")
     cuts = math.ceil(9.0 * math.log(2.0) / math.log(s)) + 2
     if d >= core:
         return cuts

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import (Interval, MapStack, PiecewiseMap, make_tent, merge_intervals,
+from .maps import (Interval, MapStack, PiecewiseMap, make_tent, make_tu, merge_intervals,
                    subtract_intervals, tu_skeleton)
 from .orbits import Cycle, critical_orbit, cycle_at, find_cycles, make_cycle, make_cycles
 
@@ -508,20 +508,26 @@ def classify_attractor(m: PiecewiseMap, nodes) -> str:
 # the u_mu tower
 # ---------------------------------------------------------------------------
 
-def tu_cycles(maps):
-    """`tu_cycle` of each u_mu map, None where it finds no cycle, from one
-    array pass per 32 maps.
+def tu_cycles(mus):
+    """`tu_cycle` of ``make_tu(mu)`` for each mu, None where it finds no
+    cycle, from one array pass per 32 parameters.
 
-    Every u_mu map has the same joints, so one grid scans them all: 600
-    points on each lap that touches the skeleton point p1, for sign changes
-    of f^3 - id.  `find_cycles` solves every bracket at once, and each map
-    keeps the regular period-3 orbit (three distinct points, positive
-    multiplier) nearest the skeleton orbit, the first found on a tie.
+    u_mu is u_1 scaled by mu, so one stack of ``make_tu(1.0)`` holds them
+    all and one grid scans them all: 600 points on each lap that touches
+    the skeleton point p1, for sign changes of f^3 - id.  `find_cycles`
+    solves every bracket at once, and each map keeps the regular period-3
+    orbit (three distinct points, positive multiplier) nearest the skeleton
+    orbit, the first found on a tie.  A mu outside the tu range is refused.
     """
-    maps = list(maps)
+    mus = np.asarray(mus, dtype=float)
+    # make_tu refuses the least and greatest mu by name, a NaN being both;
+    # the initial 1.0 lets an empty mus through
+    for mu in (np.min(mus, initial=1.0), np.max(mus, initial=1.0)):
+        make_tu(float(mu))
+    base = make_tu(1.0)
     out = []
-    for i in range(0, len(maps), _TU_CHUNK):
-        out += _tu_chunk(MapStack(maps[i:i + _TU_CHUNK]))
+    for i in range(0, len(mus), _TU_CHUNK):
+        out += _tu_chunk(MapStack(base, mus[i:i + _TU_CHUNK]))
     return out
 
 
@@ -533,7 +539,7 @@ def _tu_chunk(stack: MapStack):
     # unstable one moves fast with the parameter, so scan the laps touching
     # the skeleton point for every root of f^3 - id and keep the orbit with
     # a positive multiplier (the one that pins trapping regions).
-    laps = [b.domain for b in stack.maps[0].branches if b.domain.contains(x0)]
+    laps = [b.domain for b in stack.base.branches if b.domain.contains(x0)]
     xs = np.array([np.linspace(lap.lo + 1e-12, lap.hi - 1e-12, 600) for lap in laps])
     sgn = np.sign(stack.iterate(np.broadcast_to(xs, (len(stack),) + xs.shape), 3) - xs)
     row, lap, i = np.nonzero(sgn[..., :-1] * sgn[..., 1:] < 0)
@@ -550,16 +556,16 @@ def _tu_chunk(stack: MapStack):
     # the skeleton point itself is periodic (mu = 1); it sits exactly on a
     # branch cut, so bracketing inside one lap can never straddle it
     pinned = np.flatnonzero(np.abs(stack.iterate(np.full(len(stack), x0), 3) - x0) <= 1e-12)
-    pts, lam, through_c = make_cycles(stack.take(pinned), np.full(len(pinned), x0), 3)
+    pts, lam, faults = make_cycles(stack.take(pinned), np.full(len(pinned), x0), 3)
     for k, r in enumerate(pinned.tolist()):
-        found[r] = None if through_c[k] else cycle_at(pts, lam, k)
+        found[r] = None if faults[k] else cycle_at(pts, lam, k)
     return found
 
 
 def tu_cycle(m: PiecewiseMap) -> Cycle:
     """The continuation of the period-3 cycle for a u_mu map: the batch of
     one of `tu_cycles`, refused when no regular period-3 orbit is found."""
-    cyc, = tu_cycles([m])
+    cyc, = _tu_chunk(MapStack(m, [1.0]))
     if cyc is None:
         raise ValueError("no regular period-3 cycle found near the skeleton orbit")
     return cyc

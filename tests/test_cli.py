@@ -262,6 +262,21 @@ class TestBifurcation:
             found.append(bool(want))
         assert 0 < sum(found) < len(found)
 
+    def test_tu_render_builds_no_map_per_column(self, monkeypatch):
+        # the overlay solves the column parameters on one scaled base map;
+        # building make_tu(p) for each of 300 columns took 303 maps
+        built = []
+        init = unimodal.PiecewiseMap.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args[-1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(unimodal.PiecewiseMap, "__init__", spy)
+        _, _, overlay = render_bifurcation("tu", 0.99, 1.005, 300, 0, 1, 1)
+        assert any(overlay.values())
+        assert len(built) <= 6
+
     @pytest.mark.parametrize("family,lo,hi", [("tent", 1.3, 1.9), ("tu", 0.99, 1.005)])
     def test_column_is_independent_of_its_neighbours(self, family, lo, hi):
         img, params, _ = render_bifurcation(family, lo, hi, 16, 200, 200, 64, seed=3)
@@ -311,6 +326,13 @@ class TestBandCount:
         monkeypatch.setattr(cli, "_orbit_histogram", spy)
         assert three_band_window(1.0, 1.0375, step=0.02) == (1.0, 1.0)
         assert scanned == [[1.0, 1.02]]
+
+    @pytest.mark.parametrize("lo,hi", [(0.995, 0.999), (1.0001, 1.0004)])
+    def test_three_band_window_is_none_when_the_range_misses_mu_1(self, monkeypatch, lo, hi):
+        scanned = []
+        monkeypatch.setattr(cli, "_orbit_histogram", lambda *args: scanned.append(args))
+        assert three_band_window(lo, hi) is None
+        assert scanned == []
 
     @pytest.mark.parametrize("kwargs,limit", [
         ({"step": 0.0}, "step=0.0 must be positive"),

@@ -1,10 +1,11 @@
 """The analytic side and the chain-recurrence oracle share nothing but map
 evaluation: `chainoracle` imports no module of the package except `maps`,
-and the analytic modules never import `chainoracle`, directly or through
-the package root.  The estimator in `backward` never reads the prediction
-it is compared with: it imports only `maps` and `orbits`, and the
-comparisons live in `cli`.  The export lists are honest too: every name in
-a module's `__all__` exists, and the root re-exports only exported names.
+which imports none, and the analytic modules never import `chainoracle`,
+directly or through the package root.  The estimator in `backward` never
+reads the prediction it is compared with: it imports only `maps` and
+`orbits`, and the comparisons live in `cli`.  The export lists are honest
+too: every name in a module's `__all__` exists, and the root re-exports
+only exported names.
 """
 
 import ast
@@ -49,6 +50,11 @@ def imports_of(module: str) -> set:
 
 def test_oracle_imports_only_maps():
     assert imports_of("chainoracle") == {"maps"}
+
+
+def test_maps_imports_no_module_of_the_package():
+    # the oracle's one allowed import must not reach the analytic side
+    assert imports_of("maps") == set()
 
 
 @pytest.mark.parametrize("module", ["structure", "orbits", "backward"])

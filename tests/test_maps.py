@@ -349,10 +349,12 @@ def reference_eval(m, x):
     return out
 
 
+_TU_MAX = 4.0 / TU_BASE_MU
+
 _EVAL_FAMILIES = {
     "tent": (make_tent, st.floats(0.0, 2.0, exclude_min=True)),
     "logistic": (make_logistic, st.floats(0.0, 4.0, exclude_min=True)),
-    "tu": (make_tu, st.floats(0.0, 4.0 / TU_BASE_MU)),
+    "tu": (make_tu, st.floats(0.0, _TU_MAX)),
 }
 
 
@@ -372,22 +374,18 @@ def test_array_eval_is_the_branch_loop_and_the_scalar_call_bit_for_bit(family, d
     assert [m.branch_index(float(x)) for x in xs] == reference_branch_index(m, xs).tolist()
 
 
-# families whose maps share their joints, critical point and domain, so any
-# mix of them stacks
-_STACKS = {"tu": ["tu"], "halves": ["tent", "logistic"]}
-
-
 @settings(max_examples=100, deadline=None)
-@given(group=st.sampled_from(sorted(_STACKS)), data=st.data(),
+@given(data=st.data(), mus=st.lists(st.floats(0.0, _TU_MAX), max_size=5),
        drawn=st.lists(st.floats(0.0, 1.0), max_size=30))
-def test_stacked_eval_is_each_maps_own_array_call(group, data, drawn):
-    """Row r of a stack evaluates like map r's own array call, and its
-    slopes like map r's scalar slope_at, bit for bit, on drawn points and
-    every joint, with each row's points in its own order; a taken row
-    evaluates like the row it was taken from."""
-    families = data.draw(st.lists(st.sampled_from(_STACKS[group]), min_size=1, max_size=6))
-    maps = [_EVAL_FAMILIES[f][0](data.draw(_EVAL_FAMILIES[f][1])) for f in families]
-    stack = MapStack(maps)
+def test_stacked_eval_is_each_maps_own_array_call(data, mus, drawn):
+    """Row r of a stack of u_1 scaled by mus[r] evaluates like
+    make_tu(mus[r])'s own array call, and its slopes like that map's scalar
+    slope_at, bit for bit, on drawn points and every joint, with each row's
+    points in its own order, for drawn mus and 0, 1 and the top of the
+    range; a taken row evaluates like the row it was taken from."""
+    mus = mus + [0.0, 1.0, _TU_MAX]
+    maps = [make_tu(mu) for mu in mus]
+    stack = MapStack(make_tu(1.0), mus)
     xs = np.array(drawn + [e for b in maps[0].branches for e in b.domain])
     x = np.array([np.roll(xs, r) for r in range(len(maps))])
     got, slopes = stack(x), stack.slope_at(x)
@@ -400,9 +398,21 @@ def test_stacked_eval_is_each_maps_own_array_call(group, data, drawn):
     assert taken(x[rows, 0]).tolist() == [maps[r](float(x[r, 0])) for r in rows]
 
 
-def test_stack_refuses_maps_with_other_joints():
-    with pytest.raises(ValueError, match="share their joints"):
-        MapStack([make_tu(1.0), make_tent(1.5)])
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(sorted(_EVAL_FAMILIES)), data=st.data(),
+       drawn=st.lists(st.floats(0.0, 1.0), max_size=30))
+def test_stack_of_one_is_the_map(family, data, drawn):
+    """MapStack(m, [1.0]) evaluates and slopes like m itself, bit for bit,
+    on drawn points, every joint and the critical point, and so does every
+    row taken from it."""
+    make, params = _EVAL_FAMILIES[family]
+    m = make(data.draw(params))
+    stack = MapStack(m, [1.0])
+    xs = np.array(drawn + [e for b in m.branches for e in b.domain] + [m.critical])
+    assert stack(xs[None])[0].tolist() == m(xs).tolist()
+    assert stack.slope_at(xs[None])[0].tolist() == [m.slope_at(float(v)) for v in xs]
+    taken = stack.take(np.zeros(3, dtype=int))
+    assert taken(np.array([xs] * 3)).tolist() == [m(xs).tolist()] * 3
 
 
 def reference_bisect(g, lo, hi, tol):
@@ -423,7 +433,7 @@ def reference_bisect(g, lo, hi, tol):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), tol=st.sampled_from([1e-14, 1e-12, 1e-6, 1e-2]),
-       mus=st.lists(st.floats(0.0, 4.0 / TU_BASE_MU), min_size=1, max_size=6))
+       mus=st.lists(st.floats(0.0, _TU_MAX), min_size=1, max_size=6))
 def test_array_bisect_is_the_scalar_runs(data, tol, mus):
     """Each bracket of an array bisection stops at its own first
     hi - lo < tol and ends where a scalar run on it alone ends."""
@@ -432,7 +442,7 @@ def test_array_bisect_is_the_scalar_runs(data, tol, mus):
                               min_size=len(maps), max_size=len(maps)))
     lo = np.array([min(e) for e in ends])
     hi = np.array([max(e) for e in ends])
-    stack = MapStack(maps)
+    stack = MapStack(make_tu(1.0), mus)
     got = bisect_root(lambda x: stack.iterate(x, 3) - x, lo, hi, tol)
     for r, m in enumerate(maps):
         g = lambda x: m.iterate(x, 3) - x

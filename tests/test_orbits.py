@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from unimodal import (
     Interval,
     critical_orbit,
+    dense_backward_orbit,
+    expansion_bound,
     find_cycle,
     make_cycle,
     make_tent,
@@ -84,6 +86,31 @@ def test_multiplier_magnitude_is_slope_power():
 def test_multiplier_rejects_critical_point():
     with pytest.raises(ValueError, match="passes through the critical point"):
         make_cycle(make_tent(2.0), 0.5, 1)
+
+
+def test_make_cycle_refuses_a_point_that_is_not_periodic():
+    # 0.3 -> 0.45 -> 0.675 under T_1.5: the orbit does not close
+    with pytest.raises(ValueError, match="not a genuine cycle"):
+        make_cycle(make_tent(1.5), 0.3, 2)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call,limit", [
+    (lambda: dense_backward_orbit(make_tent(1.8), _NAN), r"delta=nan must be positive and finite"),
+    (lambda: dense_backward_orbit(make_tent(1.8), _INF), r"delta=inf must be positive and finite"),
+    (lambda: expansion_bound(make_tent(1.8), 0.4, _NAN), r"\[0.4, nan\] is empty: need lo < hi"),
+    (lambda: expansion_bound(make_tent(1.8), _NAN, 0.6), r"\[nan, 0.6\] is empty: need lo < hi"),
+    (lambda: find_cycle(make_tent(1.5), 0, Interval(0.3, 0.49)), r"period=0 must be at least 1"),
+    (lambda: find_cycle(make_tent(1.5), -1, Interval(0.3, 0.49)), r"period=-1 must be at least 1"),
+    (lambda: make_cycle(make_tent(1.5), 0.3, 0), r"period=0 must be at least 1"),
+    (lambda: make_cycle(make_tent(1.5), 0.3, -1), r"period=-1 must be at least 1"),
+], ids=["dense-nan-delta", "dense-inf-delta", "bound-nan-hi", "bound-nan-lo",
+        "find-period-0", "find-period--1", "make-period-0", "make-period--1"])
+def test_invalid_input_is_refused_naming_the_limit(call, limit):
+    with pytest.raises(ValueError, match=limit):
+        call()
 
 
 @settings(max_examples=100, deadline=None)

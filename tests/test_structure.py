@@ -477,27 +477,32 @@ class TestTuTower:
         # the whole tu range, hits and misses, in several chunks, and mu = 1,
         # where the skeleton point itself is periodic; points and
         # multipliers compared with ==
-        maps = [make_tu(float(mu)) for mu in np.linspace(0.0, 4.0 / TU_BASE_MU, 150)]
-        maps.insert(70, make_tu(1.0))
-        got = tu_cycles(maps)
-        for m, cyc in zip(maps, got):
+        mus = np.insert(np.linspace(0.0, 4.0 / TU_BASE_MU, 150), 70, 1.0)
+        got = tu_cycles(mus)
+        for mu, cyc in zip(mus, got):
+            m = make_tu(float(mu))
             want = reference_tu_cycle(m)
             assert (cyc and (cyc.points, cyc.multiplier)) == want
             try:
                 assert tu_cycle(m) == cyc
             except ValueError:
                 assert cyc is None
-        assert got[70] == make_cycle(maps[70], tu_skeleton()["p1"], 3)
-        assert 0 < got.count(None) < len(maps)
+        assert got[70] == make_cycle(make_tu(1.0), tu_skeleton()["p1"], 3)
+        assert 0 < got.count(None) < len(mus)
+
+    @pytest.mark.parametrize("mu", [1.04, -0.01, float("nan")])
+    def test_batched_solve_refuses_a_parameter_outside_the_family(self, mu):
+        with pytest.raises(ValueError, match=r"tu parameter mu=.* outside \[0, "):
+            tu_cycles([1.0, mu, 0.995])
 
     def test_batched_solve_scratch_stays_under_4mb(self):
         # a render's 300 columns; scanning them all at once would hold
         # about 15 MB of scratch
-        maps = [make_tu(float(mu)) for mu in np.linspace(0.99, 1.005, 300)]
-        tu_cycles(maps[:1])
+        mus = np.linspace(0.99, 1.005, 300)
+        tu_cycles(mus[:1])
         tracemalloc.start()
         try:
-            tu_cycles(maps)
+            tu_cycles(mus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
