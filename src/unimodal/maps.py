@@ -199,7 +199,11 @@ class PiecewiseMap:
     def __call__(self, x):
         if isinstance(x, float) or np.ndim(x) == 0:
             return self._eval_scalar(float(x))
-        x = np.asarray(x, dtype=float)
+        return self.eval_array(np.asarray(x, dtype=float))
+
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
+        """f at each point of the float array x, as a fresh array: the
+        array call without its dispatch, for loops that step an orbit."""
         return self._tables.eval(x, np.searchsorted(self._cut_array, x, side="right"))
 
     def _eval_scalar(self, x: float) -> float:

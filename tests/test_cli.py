@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +279,17 @@ class TestBifurcation:
         assert any(overlay.values())
         assert len(built) <= 6
 
+    def test_benchmark_render_bytes_are_pinned(self):
+        # the 300-column tu render the benchmark runs, hashed at the commit
+        # before the histogram was binned per chunk of steps
+        img, params, overlay = render_bifurcation("tu", 0.99, 1.005, 300, 3000, 4000, 400, seed=0)
+        assert img.shape == (400, 300)
+        assert hashlib.sha256(img.tobytes()).hexdigest() == (
+            "0f9a915bf0f501d7ead2071dec72ace9faf468a8fc0bceb1b26bd9a7d9f36587")
+        points = json.dumps([overlay[j] for j in range(len(params))])
+        assert hashlib.sha256(points.encode()).hexdigest() == (
+            "ef38cdc59b1c37c9972a68de253ec63485acdfec1552071ff79ac841b4d147f4")
+
     @pytest.mark.parametrize("family,lo,hi", [("tent", 1.3, 1.9), ("tu", 0.99, 1.005)])
     def test_column_is_independent_of_its_neighbours(self, family, lo, hi):
         img, params, _ = render_bifurcation(family, lo, hi, 16, 200, 200, 64, seed=3)
@@ -300,6 +313,12 @@ class TestBandCount:
         bands, occupied = band_count("logistic", 3.2)
         assert bands == 2
         assert occupied <= 4
+
+    @pytest.mark.parametrize("family,param,pinned", [
+        ("tu", 1.0, (3, 58)), ("tent", 1.2, (2, 22)), ("logistic", 3.2, (2, 2)),
+    ])
+    def test_band_count_is_pinned(self, family, param, pinned):
+        assert band_count(family, param) == pinned
 
     @pytest.mark.parametrize("family,params", [
         ("tu", np.arange(0.99, 1.005, 1e-3)),
@@ -408,6 +427,41 @@ def test_orbit_histogram_equals_add_at_reference(family, params, seed):
     got = _orbit_histogram(base, scales, 100, 400, 64, seed)
     assert np.array_equal(got, reference_histogram(base, scales, 100, 400, 64, seed))
     assert (got.sum(axis=0) == 400).all()
+
+
+CHUNK = cli._CHUNK
+
+
+@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("transient", [0, 7])
+@pytest.mark.parametrize("family,params", [
+    ("tent", [1.7]), ("tent", np.linspace(1.0, 2.0, 40)),
+    ("logistic", [3.9]), ("logistic", np.linspace(2.8, 4.0, 40)),
+    ("tu", [1.0]), ("tu", np.linspace(0.95, 4.0 / 3.854, 40)),
+])
+def test_orbit_histogram_chunk_edges_equal_add_at_reference(family, params, transient, samples):
+    # the sampled steps are binned a chunk at a time: one step short of a
+    # chunk, a whole one, one past it and a partial third
+    base, to_scale = _family_base(family)
+    scales = to_scale(np.asarray(params, dtype=float))
+    got = _orbit_histogram(base, scales, transient, samples, 64, 0)
+    assert np.array_equal(got, reference_histogram(base, scales, transient, samples, 64, 0))
+
+
+def test_orbit_histogram_scratch_stays_under_4mb():
+    # a render's 300 tu columns and 4,000 samples: the counts take 0.96 MB,
+    # and binning all samples at once would hold about 20 MB more; the
+    # transient allocates nothing that stays
+    base, to_scale = _family_base("tu")
+    scales = to_scale(np.linspace(0.99, 1.005, 300))
+    _orbit_histogram(base, scales[:1], 0, 1, 400, 0)
+    tracemalloc.start()
+    try:
+        _orbit_histogram(base, scales, 0, 4000, 400, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 BIFURCATION = ["bifurcation", "--s-min", "1.3", "--s-max", "1.9", "--columns", "4",
