@@ -63,10 +63,12 @@ class BackwardTree:
         return self.levels[k]
 
     def deep_points(self, from_depth: int) -> np.ndarray:
+        """The distinct points of rows from_depth on, sorted."""
         rows = [r for r in self.levels[from_depth:] if len(r)]
         if not rows:
             return np.empty(0)
-        pts = np.sort(np.concatenate(rows))
+        pts = np.concatenate(rows)
+        pts.sort()
         return pts[np.r_[True, pts[1:] != pts[:-1]]]
 
 
@@ -145,24 +147,26 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     """
     if len(ys) == 0:
         return np.zeros(0, bool)
-    order = np.argsort(ys, kind="stable")
-    ys = ys[order]
+    order = None
+    if (ys[1:] < ys[:-1]).any():    # deep_points hands them over sorted
+        order = np.argsort(ys, kind="stable")
+        ys = ys[order]
     key = np.floor(ys / (r / 8.0))
-    first = np.r_[True, key[1:] != key[:-1]]
-    starts = np.flatnonzero(first)
-    b0, b1 = ys[starts], ys[np.r_[starts[1:], len(ys)] - 1]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    del key
+    counts = np.diff(starts, append=len(ys))
+    b0, b1 = ys[starts], ys[starts + counts - 1]
     # interval_image is the hull of f at both ends plus the peak, so it keeps
     # inclusion while f is monotone on each side of c and maps the domain into
     # itself.  Both hold exactly in floats on the tent map; on tu and logistic
     # f is monotone only to a few ulps (2.2e-16 at tu's cuts), hence the pad.
     every, met = _brackets(m, b0, b1, r, _BRACKET_PAD)
-    bin_of = np.cumsum(first) - 1
-    acc = every[bin_of]
-    open_ = np.flatnonzero((met & ~every)[bin_of])
+    acc = np.repeat(every, counts)
+    open_ = np.flatnonzero(np.repeat(met & ~every, counts))
     acc[open_] = _brackets(m, ys[open_], ys[open_], r, 0.0)[0]
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out
+    if order is not None:
+        acc[order] = acc.copy()
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +200,12 @@ def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     """
     tree = build_backward_tree(m, x, depth)
     pts = tree.deep_points(depth // 2)
+    truncated = tree.truncated
+    del tree
     candidates = len(pts)
     pts = pts[_returns_mask(m, pts, _PROBE_RADIUS)]
     ivs = tuple(_cluster(pts, _CLUSTER_GAP))
-    return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, tree.truncated,
+    return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, truncated,
                           candidates)
 
 

@@ -23,10 +23,15 @@ Edge slack is eps - h: with fc the image of the center of cell i, cell j is
 admitted when |fc - center_j| <= eps - h, so every point of cell j sits
 strictly inside the eps-jump budget (within eps - h/2 of fc).  The cell
 containing fc is always admitted once eps >= 1.5h (the rounding residual
-is at most h/2), so no true orbit is ever lost, while the strict margin
-keeps discretization from inflating class supports: a chain of certified
-jumps can widen by at most eps - h per step, which dies against the
-overshoot rounding instead of compounding along the critical orbit.
+is at most h/2), while the strict margin keeps discretization from
+inflating class supports: a chain of certified jumps can widen by at most
+eps - h per step, which dies against the overshoot rounding instead of
+compounding along the critical orbit.  That does not keep every true
+orbit on maps steeper than 2: the cell of a fixed point with slope lam at
+a boundary keeps its self-loop only while (lam - 1)h/2 <= eps - h, that
+is lam <= 2eps/h - 1.  The 1.5h floor is that bound at lam = 2, so tent
+maps (lam = s <= 2) keep their classes at the default 2h, but a tu map
+(lam = 3.854mu) or a logistic map near mu = 4 can lose the class at 0.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
 ]
 
 _MIN_CELLS = 100
+_BLOCK = 1 << 15     # windows or cells handled at once
 
 
 @dataclass(frozen=True)
@@ -89,22 +95,41 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     return GridGraph(n, eps, jlo, jhi)
 
 
+def _index_dtype(bound: int):
+    """int32 while every index and offset up to bound fits in it, else int64."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def _expand(lo: np.ndarray, hi: np.ndarray):
     """Cells of the windows lo[k] .. hi[k] (empty when lo[k] > hi[k]),
-    concatenated in order, and the running window ends."""
-    counts = (hi - lo + 1).clip(min=0)
-    ends = np.cumsum(counts)
-    cells = np.repeat(lo - (ends - counts), counts)
-    cells += np.arange(len(cells), dtype=np.int64)
-    return cells, ends
+    concatenated in order, and the offsets where each window's cells start,
+    with the total appended: CSR indices and row pointers, in the
+    `_index_dtype` of their largest value.
+
+    Slot p of window k holds cell lo[k] + p - ptr[k].  The windows are
+    written _BLOCK at a time, so no scratch outgrows one block's edges.
+    """
+    ptr = np.zeros(len(lo) + 1, np.int64)
+    np.maximum(hi - lo + 1, 0, out=ptr[1:])
+    np.cumsum(ptr, out=ptr)
+    ptr = ptr.astype(_index_dtype(max(int(ptr[-1]), int(hi.max(initial=0)))))
+    cells = np.empty(ptr[-1], ptr.dtype)
+    for a in range(0, len(lo), _BLOCK):
+        p = ptr[a:a + _BLOCK + 1]
+        # an empty window's shift may not fit, but it is never repeated
+        shift = (lo[a:a + _BLOCK] - p[:-1]).astype(ptr.dtype)
+        np.add(np.repeat(shift, np.diff(p)), np.arange(p[0], p[-1], dtype=ptr.dtype),
+               out=cells[p[0]:p[-1]])
+    return cells, ptr
 
 
 def _sparse(g: GridGraph):
     # here, not at module top: scipy was 230 of the 350 ms of `import unimodal`
     from scipy.sparse import csr_matrix
-    idx, ends = _expand(g.jlo, g.jhi)
-    indptr = np.concatenate(([0], ends))
-    return csr_matrix((np.ones(len(idx), np.int8), idx, indptr), shape=(g.n, g.n))
+    idx, ptr = _expand(g.jlo, g.jhi)
+    # csgraph reads only the structure, as float64: a zero-stride 1.0 is
+    # that dtype already, so neither side copies the edges
+    return csr_matrix((np.broadcast_to(1.0, len(idx)), idx, ptr), shape=(g.n, g.n))
 
 
 def recurrent_cells(g: GridGraph):
@@ -178,20 +203,31 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
 
     # Classes are strong components glued when their recurrent cells lie at
     # most three cells apart: an undirected graph with one node per label of
-    # a recurrent cell and one edge per such pair of consecutive cells.
-    labels, node = np.unique(lab[cells], return_inverse=True)
-    near = np.flatnonzero(np.diff(cells) <= 3)
-    link = csr_matrix((np.ones(len(near), bool), (node[near], node[near + 1])),
-                      shape=(len(labels), len(labels)))
+    # a recurrent cell, numbered by rank, and one edge per such pair of
+    # consecutive cells with two labels.
+    used = np.zeros(len(lab), bool)
+    used[lab[cells]] = True
+    node = np.cumsum(used, dtype=lab.dtype)[lab[cells]] - 1
+    del rec, lab, used
+    glue = np.diff(cells) <= 3
+    glue &= node[1:] != node[:-1]
+    near = np.flatnonzero(glue)
+    k = int(node.max()) + 1
+    link = csr_matrix((np.ones(len(near), bool), (node[near], node[near + 1])), shape=(k, k))
     comp = connected_components(link, directed=False)[1][node]
+    del node, glue
 
     # Group cells by class (ascending within each), then order classes by
     # the maximum of f over their centers, ties by their first cell.
     order = np.argsort(comp, kind="stable")
-    grouped = comp[order]
-    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    members = cells[order]
-    tops = np.maximum.reduceat(m((members + 0.5) * h), starts)
+    members, comp = cells[order], comp[order]
+    del cells, order
+    starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+    # f at the centers a block at a time: no temporary outgrows a block
+    f = np.empty(len(members))
+    for a in range(0, len(members), _BLOCK):
+        f[a:a + _BLOCK] = m((members[a:a + _BLOCK] + 0.5) * h)
+    tops = np.maximum.reduceat(f, starts)
     groups = np.split(members, starts[1:])
     classes = tuple(groups[i] for i in np.lexsort((members[starts], tops)))
     return ChainClasses(n, classes, g)

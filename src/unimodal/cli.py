@@ -209,6 +209,7 @@ def cmd_verify(args, parser) -> int:
     mr = match_nodes(nodes, cc, tol)
     checks.append(("match", mr["passed"], mr["message"]))
     report["match"] = mr
+    del cc      # the oracle's arrays are done with; the probe needs the room
 
     c1, c2 = critical_orbit(m, 2)
     sal = []

@@ -204,7 +204,7 @@ class PiecewiseMap:
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         """f at each point of the float array x, as a fresh array: the
         array call without its dispatch, for loops that step an orbit."""
-        return self._tables.eval(x, np.searchsorted(self._cut_array, x, side="right"))
+        return self._tables.eval(x, self._cut_array.searchsorted(x, side="right"))
 
     def _eval_scalar(self, x: float) -> float:
         if not self.domain.contains(x, tol=1e-12):
@@ -345,7 +345,7 @@ class MapStack:
 
     def branch_index(self, x):
         """Branch of each point, by the same lookup as ``PiecewiseMap``."""
-        return np.searchsorted(self.base._cut_array, x, side="right")
+        return self.base._cut_array.searchsorted(x, side="right")
 
     def __call__(self, x):
         """f_r(x[r]) for every row r; x has one row per scale."""

@@ -125,6 +125,37 @@ class TestReturnProbe:
         assert 0 < sum(seen) < 0.01 * est.candidates
 
 
+@pytest.mark.parametrize("m", [make_tent(1.8), make_tent(2.0), make_tu(1.0), make_tu(1.003),
+                               make_logistic(3.9)],
+                         ids=lambda m: m.label.split("|")[0])
+def test_sorted_and_shuffled_points_get_the_same_verdicts(m):
+    # deep_points hands the probe sorted points, which skip the sort; any
+    # other order is sorted first, and its verdicts go back in its order
+    ys = build_backward_tree(m, 0.3, 16).deep_points(8)
+    assert len(ys) > 1000 and np.all(np.diff(ys) > 0)
+    perm = np.random.default_rng(5).permutation(len(ys))
+    shuffled = _returns_mask(m, ys[perm], backward._PROBE_RADIUS)
+    back = np.empty_like(shuffled)
+    back[perm] = shuffled
+    assert np.array_equal(back, _returns_mask(m, ys, backward._PROBE_RADIUS))
+
+
+def test_salpha_peak_is_its_tree_and_points_plus_two_per_point(traced_peak):
+    """The tree rows and the deep points are what salpha holds; on top of
+    them it may hold two 8-byte arrays of the points: the rows'
+    concatenation before duplicates go, and the probe's bin keys.  Sorting
+    copies, an argsort and an int64 bin index held 41 bytes a point."""
+    m = make_tent(2.0)
+    salpha(m, 0.5, 10)
+    tree = build_backward_tree(m, 0.5, 24)
+    pts = tree.deep_points(12)
+    held = sum(r.nbytes for r in tree.levels) + pts.nbytes
+    points = len(pts)
+    del tree, pts
+    assert points > 1_000_000
+    assert traced_peak(salpha, m, 0.5, 24) < held + 2 * 8 * points
+
+
 @settings(max_examples=15, deadline=None)
 @given(s=st.floats(1.0, 2.0, exclude_min=True))
 def test_bracketed_probe_equals_per_point_probe(s):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
+
+import unimodal.chainoracle as chainoracle
 
 from unimodal import (
     ChainClasses,
@@ -363,3 +367,74 @@ def test_windows_nest_as_eps_shrinks(s, n, a, b):
     coarse, fine = build_grid(m, n, eps1), build_grid(m, n, eps2)
     assert np.all(coarse.jlo <= fine.jlo)
     assert np.all(coarse.jhi >= fine.jhi)
+
+
+# ---------------------------------------------------------------------------
+# edge build
+# ---------------------------------------------------------------------------
+
+def reference_expand(lo, hi):
+    # the whole expansion in one int64 repeat and one int64 arange
+    counts = (hi - lo + 1).clip(min=0)
+    ends = np.cumsum(counts)
+    cells = np.repeat(lo - (ends - counts), counts)
+    cells += np.arange(len(cells), dtype=np.int64)
+    return cells, ends
+
+
+@st.composite
+def _windows(draw):
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(0, 120))
+    cell = st.integers(0, n - 1)
+    lo = np.array(draw(st.lists(cell, min_size=k, max_size=k)), dtype=np.int64)
+    hi = np.array(draw(st.lists(cell, min_size=k, max_size=k)), dtype=np.int64)
+    return lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows=_windows(), block=st.sampled_from([1, 2, 3, 7, 64, 1 << 15]))
+@example(windows=(np.zeros(0, np.int64), np.zeros(0, np.int64)), block=1 << 15)
+@example(windows=(np.array([5, 9, 2]), np.array([4, 1, 0])), block=2)
+def test_blockwise_edges_equal_one_repeat(windows, block):
+    """Windows written a block at a time, empty ones and blocks with no
+    edge at all included, give the cells of one repeat + arange."""
+    lo, hi = windows
+    with mock.patch.object(chainoracle, "_BLOCK", block):
+        cells, ptr = chainoracle._expand(lo, hi)
+    want, ends = reference_expand(lo, hi)
+    assert cells.dtype == ptr.dtype == np.int32
+    assert np.array_equal(cells, want)
+    assert np.array_equal(ptr, np.r_[0, ends])
+
+
+def test_index_dtype_widens_past_int32():
+    # the edge total decides, never an array of that many edges
+    assert chainoracle._index_dtype(0) is np.int32
+    assert chainoracle._index_dtype(2**31 - 1) is np.int32
+    assert chainoracle._index_dtype(2**31) is np.int64
+    assert chainoracle._index_dtype(62 * 10**9) is np.int64
+
+
+def test_sparse_graph_holds_the_windows():
+    g = build_grid(make_tent(1.7), 1000, 3e-3)
+    a = chainoracle._sparse(g).toarray() != 0
+    want = np.zeros((g.n, g.n), bool)
+    for i in range(g.n):
+        want[i, g.jlo[i]:g.jhi[i] + 1] = True
+    assert np.array_equal(a, want)
+
+
+@pytest.mark.parametrize("s", [2.0, 1.4])
+def test_chain_classes_peak_is_its_arrays_plus_four_per_cell(s, traced_peak):
+    """The grid's two int64 windows and the int64 classes are kept; the
+    scratch on top stays within four 8-byte arrays of the n cells.  Sorting
+    the labels with np.unique and keeping every gluing pair held about 77
+    bytes a cell on top at s = 2."""
+    n = 200_000
+    m = make_tent(s)
+    chain_classes(m, 1000)
+    cc = chain_classes(m, n)
+    kept = cc.graph.jlo.nbytes + cc.graph.jhi.nbytes + sum(c.nbytes for c in cc.classes)
+    del cc
+    assert traced_peak(chain_classes, m, n) < kept + 4 * 8 * n

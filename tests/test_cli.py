@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -448,20 +447,14 @@ def test_orbit_histogram_chunk_edges_equal_add_at_reference(family, params, tran
     assert np.array_equal(got, reference_histogram(base, scales, transient, samples, 64, 0))
 
 
-def test_orbit_histogram_scratch_stays_under_4mb():
+def test_orbit_histogram_scratch_stays_under_4mb(traced_peak):
     # a render's 300 tu columns and 4,000 samples: the counts take 0.96 MB,
     # and binning all samples at once would hold about 20 MB more; the
     # transient allocates nothing that stays
     base, to_scale = _family_base("tu")
     scales = to_scale(np.linspace(0.99, 1.005, 300))
     _orbit_histogram(base, scales[:1], 0, 1, 400, 0)
-    tracemalloc.start()
-    try:
-        _orbit_histogram(base, scales, 0, 4000, 400, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    assert traced_peak(_orbit_histogram, base, scales, 0, 4000, 400, 0) < 4e6
 
 
 BIFURCATION = ["bifurcation", "--s-min", "1.3", "--s-max", "1.9", "--columns", "4",

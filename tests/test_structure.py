@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,18 +494,12 @@ class TestTuTower:
         with pytest.raises(ValueError, match=r"tu parameter mu=.* outside \[0, "):
             tu_cycles([1.0, mu, 0.995])
 
-    def test_batched_solve_scratch_stays_under_4mb(self):
+    def test_batched_solve_scratch_stays_under_4mb(self, traced_peak):
         # a render's 300 columns; scanning them all at once would hold
         # about 15 MB of scratch
         mus = np.linspace(0.99, 1.005, 300)
         tu_cycles(mus[:1])
-        tracemalloc.start()
-        try:
-            tu_cycles(mus)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        assert traced_peak(tu_cycles, mus) < 4e6
 
     def test_no_cycle_below_the_saddle_node(self):
         with pytest.raises(ValueError):
