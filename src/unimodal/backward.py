@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import Interval, PiecewiseMap
+from .maps import Interval, PiecewiseMap, runs
 from .orbits import critical_orbit
 
 __all__ = [
@@ -76,8 +76,8 @@ def _thin(row: np.ndarray, cap: int) -> np.ndarray:
     # even subsample that always keeps both extremes
     if len(row) <= cap:
         return row
-    keep = np.round(np.linspace(0, len(row) - 1, cap)).astype(np.int64)
-    return row[keep[np.r_[True, keep[1:] != keep[:-1]]]]
+    # past the cap the steps exceed 1, so the rounded indices strictly increase
+    return row[np.round(np.linspace(0, len(row) - 1, cap)).astype(np.int64)]
 
 
 def build_backward_tree(m: PiecewiseMap, x: float, depth: int) -> BackwardTree:
@@ -184,15 +184,6 @@ class SAlphaEstimate:
     candidates: int         # deep points the return probe saw
 
 
-def _cluster(points: np.ndarray, gap: float):
-    if len(points) == 0:
-        return []
-    cuts = np.flatnonzero(np.diff(points) > gap)
-    starts = np.concatenate(([0], cuts + 1))
-    ends = np.concatenate((cuts, [len(points) - 1]))
-    return [Interval(float(points[a]), float(points[b])) for a, b in zip(starts, ends)]
-
-
 def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     """Estimate of the s-alpha set of x from rows depth/2 .. depth of the
     preimage tree, return-filtered with probes of radius _PROBE_RADIUS and
@@ -204,7 +195,7 @@ def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     del tree
     candidates = len(pts)
     pts = pts[_returns_mask(m, pts, _PROBE_RADIUS)]
-    ivs = tuple(_cluster(pts, _CLUSTER_GAP))
+    ivs = tuple(Interval(a, b) for a, b in runs(pts, _CLUSTER_GAP))
     return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, truncated,
                           candidates)
 

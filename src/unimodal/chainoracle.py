@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import Interval, PiecewiseMap
+from .maps import Interval, PiecewiseMap, runs
 
 __all__ = [
     "GridGraph",
@@ -168,17 +168,8 @@ class ChainClasses:
     def support(self, i: int):
         """Center-to-center hull of each run of consecutive cells."""
         h = self.graph.h
-        out = []
-        for lo, hi in self.runs(i):
-            out.append(Interval((lo + 0.5) * h, (hi + 0.5) * h))
-        return out
-
-    def runs(self, i: int):
-        cs = self.classes[i]
-        breaks = np.flatnonzero(np.diff(cs) != 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [len(cs) - 1]))
-        return [(int(cs[a]), int(cs[b])) for a, b in zip(starts, ends)]
+        return [Interval((lo + 0.5) * h, (hi + 0.5) * h)
+                for lo, hi in runs(self.classes[i], 1)]
 
 
 def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> ChainClasses:

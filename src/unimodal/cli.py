@@ -35,7 +35,7 @@ import numpy as np
 
 from . import backward
 from .chainoracle import ChainClasses, chain_classes, conley_graph, verify_tower
-from .maps import PiecewiseMap, hausdorff, make_logistic, make_tent, make_tu
+from .maps import PiecewiseMap, hausdorff, make_logistic, make_tent, make_tu, runs
 from .orbits import critical_orbit, expansion_bound, expansion_time
 # tu_cycle stays a name of this module for the benchmark's tracer, which
 # wraps cli.tu_cycle; the render itself solves all its columns in tu_cycles
@@ -76,6 +76,13 @@ def _analytic(args, m, parser):
     parser.error(f"no analytic tower is available for the {args.family} family")
 
 
+def _print_json(obj):
+    """Print obj as strict JSON (RFC 8259): a non-finite float prints as null."""
+    # json.dumps writes Infinity or NaN, which parse_constant reads back as None
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    print(json.dumps(strict, indent=2, allow_nan=False))
+
+
 # ---------------------------------------------------------------------------
 # nodes
 # ---------------------------------------------------------------------------
@@ -85,8 +92,8 @@ def cmd_nodes(args, parser) -> int:
     nodes = _analytic(args, m, parser)
     kind = classify_attractor(m, nodes)
     if args.json:
-        print(json.dumps({"map": m.label, "attractor": kind,
-                          "nodes": [nd.to_dict() for nd in nodes]}, indent=2))
+        _print_json({"map": m.label, "attractor": kind,
+                     "nodes": [nd.to_dict() for nd in nodes]})
         return 0
     print(f"{m.label}: {len(nodes)} nodes, attractor type {kind}")
     for nd in nodes:
@@ -178,9 +185,10 @@ def compare_salpha(s: float, x: float, depth: int = 30) -> dict:
 def cmd_verify(args, parser) -> int:
     # Tent only: the analytic tower of a tent map accounts for the whole
     # chain-recurrent set, so tower and oracle must agree class for class.
-    # The tu family keeps an expanding Cantor repellor outside its window
-    # tower, which a whole-domain oracle correctly reports and the tower
-    # correctly omits, so the comparison is not meaningful there.
+    # On tu the oracle's middle class is N_1 as a Cantor node, within 8e-5 of
+    # cantor_cover(m, region, 12) plus the cycle at mu = 1, and at the default
+    # 2h it drops tu's class at 0.  verify stays tent-only until the eps floor
+    # follows the map's slope and tu_nodes gives N_1 that Cantor support.
     if args.family != "tent":
         parser.error("verify cross-checks are defined for the tent family only")
     m = _build_map(args, parser)
@@ -236,7 +244,7 @@ def cmd_verify(args, parser) -> int:
     passed = all(ok for _, ok, _ in checks)
     report["passed"] = passed
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print_json(report)
     else:
         for name, ok, msg in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {msg}")
@@ -382,10 +390,7 @@ def band_count(family: str, param: float):
 
 def _bands(column):
     occ = np.flatnonzero(column > 0)
-    if len(occ) == 0:
-        return 0, 0
-    splits = np.count_nonzero(np.diff(occ) > 2)
-    return splits + 1, len(occ)
+    return len(runs(occ, 2)), len(occ)
 
 
 def three_band_window(lo: float, hi: float, step: float = 5e-4,
@@ -411,15 +416,10 @@ def three_band_window(lo: float, hi: float, step: float = 5e-4,
     good = [clusters == 3 and occupied >= _MIN_OCCUPIED
             for clusters, occupied in map(_bands, counts.T)]
     anchor = int(np.argmin(np.abs(mus - 1.0)))
-    if not good[anchor]:
-        return None
-    a = anchor
-    while a > 0 and good[a - 1]:
-        a -= 1
-    b = anchor
-    while b + 1 < len(mus) and good[b + 1]:
-        b += 1
-    return float(mus[a]), float(mus[b])
+    for a, b in runs(np.flatnonzero(good), 1):
+        if a <= anchor <= b:
+            return float(mus[a]), float(mus[b])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def cmd_salpha(args, parser) -> int:
         parser.error("salpha needs --s and --x")
     rep = compare_salpha(args.s, args.x, depth=args.depth)
     if args.json:
-        print(json.dumps(rep, indent=2))
+        _print_json(rep)
     else:
         print(f"T_{args.s} x={args.x}: level {rep['level']}")
         print(f"  predicted: {rep['predicted']}")

@@ -35,6 +35,7 @@ __all__ = [
     "make_tu",
     "merge_intervals",
     "subtract_intervals",
+    "runs",
     "hausdorff",
     "tu_skeleton",
     "TU_BASE_MU",
@@ -556,6 +557,19 @@ def subtract_intervals(base, holes):
                 nxt.append(Interval(max(h.hi, iv.lo), iv.hi))
         cur = nxt
     return [iv for iv in cur if iv.length > 1e-15 or iv.length == 0.0]
+
+
+def runs(values, gap):
+    """(first, last) of each run of the sorted array values, as Python
+    numbers.  A run ends after each step larger than gap; a step of exactly
+    gap stays inside it.  [] when values is empty.
+    """
+    if len(values) == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(values) > gap)
+    firsts = values[np.r_[0, cuts + 1]].tolist()
+    lasts = values[np.r_[cuts, len(values) - 1]].tolist()
+    return list(zip(firsts, lasts))
 
 
 def _dist_point_to_union(x, ivs):

@@ -14,7 +14,7 @@ from unimodal import (
     salpha,
 )
 import unimodal.backward as backward
-from unimodal.backward import _RETURN_STEPS, _returns_mask
+from unimodal.backward import _LEVEL_CAP, _RETURN_STEPS, _returns_mask, _thin
 
 
 class TestBackwardTree:
@@ -52,6 +52,30 @@ class TestBackwardTree:
         t = build_backward_tree(make_tent(2.0), 0.3, 20)
         assert t.truncated
         assert len(t.row(20)) <= 200_000
+
+
+def assert_thinned(row, cap):
+    out = _thin(row, cap)
+    assert len(out) == cap
+    assert np.all(np.diff(out) > 0)
+    assert out[0] == row[0] and out[-1] == row[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cap=st.integers(2, 5000), extra=st.integers(1, 20_000))
+def test_thin_keeps_cap_increasing_points_and_both_extremes(cap, extra):
+    assert_thinned(np.linspace(0.0, 1.0, cap + extra), cap)
+
+
+@pytest.mark.parametrize("cap,size", [(512, 10**6), (_LEVEL_CAP, _LEVEL_CAP + 1),
+                                      (_LEVEL_CAP, 8 * _LEVEL_CAP)])
+def test_thin_at_the_caps_in_use(cap, size):
+    assert_thinned(np.linspace(0.0, 1.0, size), cap)
+
+
+def test_thin_leaves_a_row_within_the_cap():
+    row = np.arange(5.0)
+    assert _thin(row, 5) is row
 
 
 def reference_returns(m, ys, r, steps=40):

@@ -159,8 +159,8 @@ class TestVerify:
         assert limit in err
 
     def test_non_tent_family_exits_2(self, capsys):
-        # the tu tower deliberately omits the Cantor repellor outside its
-        # window, so a whole-domain oracle comparison would always mismatch
+        # the oracle reads tu's N_1 as a Cantor node and, at the default
+        # eps, drops its class at 0, so verify stays tent-only for now
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--family", "tu"])
         assert exc.value.code == 2
@@ -172,6 +172,29 @@ class TestVerify:
         assert code == 0
         assert "2 classes" in out
         assert "all checks passed" in out
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--s", "1.05", "--n", "20000", "--json"],
+    ["salpha", "--s", "1.05", "--x", "0.249375", "--json"],
+])
+def test_empty_estimate_prints_strict_json(capsys, argv):
+    # the estimate is empty, so its Hausdorff distance is infinite: null
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    reps = doc["salpha"] if argv[0] == "verify" else [doc]
+    assert any(rep["hausdorff"] is None and rep["passed"] is False for rep in reps)
+    assert doc["passed"] is False
+
+
+def test_compare_salpha_keeps_infinity():
+    rep = cli.compare_salpha(1.05, 0.249375)
+    assert rep["hausdorff"] == math.inf and rep["passed"] is False
 
 
 class TestSAlpha:

@@ -1,11 +1,12 @@
 """The analytic side and the chain-recurrence oracle share nothing but map
 evaluation: `chainoracle` imports no module of the package except `maps`,
 which imports none, and the analytic modules never import `chainoracle`,
-directly or through the package root.  The estimator in `backward` never
-reads the prediction it is compared with: it imports only `maps` and
-`orbits`, and the comparisons live in `cli`.  The export lists are honest
-too: every name in a module's `__all__` exists, and the root re-exports
-only exported names.
+directly or through the package root.  The closed forms in `structure`
+never name `maps.runs`, the run splitter of the oracle and the estimator.
+The estimator in `backward` never reads the prediction it is compared
+with: it imports only `maps` and `orbits`, and the comparisons live in
+`cli`.  The export lists are honest too: every name in a module's
+`__all__` exists, and the root re-exports only exported names.
 """
 
 import ast
@@ -119,3 +120,32 @@ def test_root_reexports_only_exported_names():
             exported = importlib.import_module(f"unimodal.{node.module}").__all__
             missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert missing == []
+
+
+def names_in(source: str) -> set:
+    """Every name, attribute and imported name that source mentions."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update((node.name, node.asname))
+    return out
+
+
+def test_analytic_side_never_names_the_run_splitter():
+    # the oracle's class supports and the estimator's clusters come from
+    # maps.runs; the closed forms must not start sharing it with them
+    assert "runs" not in names_in((SRC / "structure.py").read_text())
+
+
+@pytest.mark.parametrize("source", [
+    "from .maps import runs",
+    "from .maps import runs as split",
+    "from . import maps\nmaps.runs(x, 1)",
+    "def f(x):\n    return runs(x, 1)",
+])
+def test_name_reader_sees_runs(source):
+    assert "runs" in names_in(source)

@@ -15,7 +15,7 @@ from unimodal import (
     subtract_intervals,
     tu_skeleton,
 )
-from unimodal.maps import TU_BASE_MU, MapStack, bisect_root
+from unimodal.maps import TU_BASE_MU, MapStack, bisect_root, runs
 
 
 def reference_interval_image(m, lo, hi):
@@ -449,3 +449,52 @@ def test_array_bisect_is_the_scalar_runs(data, tol, mus):
         want = reference_bisect(g, float(lo[r]), float(hi[r]), tol)
         assert got[r] == want
         assert bisect_root(g, float(lo[r]), float(hi[r]), tol) == want
+
+
+def reference_runs(values, gap):
+    # one value at a time: a value more than gap above the last one opens a run
+    out = []
+    for v in values:
+        if out and v - out[-1][1] <= gap:
+            out[-1][1] = v
+        else:
+            out.append([v, v])
+    return [tuple(r) for r in out]
+
+
+@pytest.mark.parametrize("values,gap,want", [
+    ([], 1, []),
+    ([7], 1, [(7, 7)]),
+    ([3, 3, 3], 0, [(3, 3)]),
+    ([0, 1, 2, 4, 5, 9], 1, [(0, 2), (4, 5), (9, 9)]),
+    ([0, 2, 4, 7], 2, [(0, 4), (7, 7)]),
+    ([0.0, 0.25, 0.5, 1.0, 1.25], 0.25, [(0.0, 0.5), (1.0, 1.25)]),
+])
+def test_runs_by_hand(values, gap, want):
+    got = runs(np.array(values), gap)
+    assert got == want
+    assert all(type(v) is type(w) for r, q in zip(got, want) for v, w in zip(r, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap=st.integers(0, 3), steps=st.lists(st.integers(0, 6), max_size=40),
+       start=st.integers(-1000, 1000))
+def test_runs_of_ints_are_the_loop(gap, steps, start):
+    # steps of 0 (equal values) and of exactly gap come up often
+    values = start + np.cumsum(np.array(steps, dtype=np.int64))
+    got = runs(values, gap)
+    assert got == reference_runs(values.tolist(), gap)
+    assert all(type(v) is int for r in got for v in r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap=st.sampled_from([0.0, 0.125, 5e-3, 1.0]),
+       ks=st.lists(st.integers(0, 400), max_size=40),
+       noise=st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_runs_of_floats_are_the_loop(gap, ks, noise):
+    # multiples of the gaps 0.125 and 1.0 differ by exactly gap, and drawn
+    # floats add steps of every size; the loop subtracts as np.diff does
+    values = np.sort(np.array([k * gap for k in ks] + noise, dtype=float))
+    got = runs(values, gap)
+    assert got == reference_runs(values.tolist(), gap)
+    assert all(type(v) is float for r in got for v in r)
