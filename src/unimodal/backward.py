@@ -64,12 +64,19 @@ class BackwardTree:
 
     def deep_points(self, from_depth: int) -> np.ndarray:
         """The distinct points of rows from_depth on, sorted."""
-        rows = [r for r in self.levels[from_depth:] if len(r)]
-        if not rows:
-            return np.empty(0)
-        pts = np.concatenate(rows)
-        pts.sort()
-        return pts[np.r_[True, pts[1:] != pts[:-1]]]
+        return _distinct_points(list(self.levels[from_depth:]))
+
+
+def _distinct_points(rows: list) -> np.ndarray:
+    """The distinct points of the rows, sorted.  The list is emptied once
+    the rows are joined, so rows that nothing else holds go before the sort."""
+    pts = np.concatenate(rows) if rows else np.empty(0)
+    rows.clear()
+    pts.sort()
+    keep = np.empty(len(pts), bool)
+    keep[:1] = True
+    np.not_equal(pts[1:], pts[:-1], out=keep[1:])
+    return pts[keep]
 
 
 def _thin(row: np.ndarray, cap: int) -> np.ndarray:
@@ -148,10 +155,11 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     if len(ys) == 0:
         return np.zeros(0, bool)
     order = None
-    if (ys[1:] < ys[:-1]).any():    # deep_points hands them over sorted
+    if (ys[1:] < ys[:-1]).any():    # salpha hands them over sorted
         order = np.argsort(ys, kind="stable")
         ys = ys[order]
-    key = np.floor(ys / (r / 8.0))
+    key = ys / (r / 8.0)
+    np.floor(key, out=key)
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     del key
     counts = np.diff(starts, append=len(ys))
@@ -190,9 +198,9 @@ def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     clustered with the gap _CLUSTER_GAP.
     """
     tree = build_backward_tree(m, x, depth)
-    pts = tree.deep_points(depth // 2)
-    truncated = tree.truncated
+    rows, truncated = list(tree.levels[depth // 2:]), tree.truncated
     del tree
+    pts = _distinct_points(rows)
     candidates = len(pts)
     pts = pts[_returns_mask(m, pts, _PROBE_RADIUS)]
     ivs = tuple(Interval(a, b) for a, b in runs(pts, _CLUSTER_GAP))

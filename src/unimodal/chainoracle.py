@@ -64,7 +64,7 @@ class GridGraph:
 
     Tent-like maps send cell centers to contiguous target windows, so the
     out-neighbors of cell i are exactly jlo[i] .. jhi[i] (empty when
-    jlo[i] > jhi[i]).
+    jlo[i] > jhi[i]), in the `_index_dtype` of n: int32 below 2^31 cells.
     """
 
     n: int
@@ -78,6 +78,7 @@ class GridGraph:
 
 
 def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
+    """The eps-chain graph of m on n cells, its windows in `_index_dtype(n)`."""
     if n < _MIN_CELLS:
         raise ValueError(f"grid too coarse: n={n} < {_MIN_CELLS}")
     h = 1.0 / n
@@ -86,12 +87,15 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
                          f"below that no edges are certifiable ({eps / h!r} cell widths)")
     if m.domain.lo != 0.0 or m.domain.hi != 1.0:
         raise ValueError("oracle grid expects the unit interval domain")
-    centers = (np.arange(n) + 0.5) * h
-    fc = m(centers)
     slack = eps - h
-    # clipped before the cast, so a huge eps cannot overflow int64
-    jlo = np.clip(np.ceil((fc - slack) / h - 0.5), 0, n - 1).astype(np.int64)
-    jhi = np.clip(np.floor((fc + slack) / h - 0.5), 0, n - 1).astype(np.int64)
+    jlo = np.empty(n, _index_dtype(n))
+    jhi = np.empty(n, jlo.dtype)
+    # a block at a time, so no float temporary outgrows one block; clipped
+    # before the cast, so a huge eps cannot overflow the index dtype
+    for a in range(0, n, _BLOCK):
+        fc = m((np.arange(a, min(a + _BLOCK, n)) + 0.5) * h)
+        jlo[a:a + _BLOCK] = np.clip(np.ceil((fc - slack) / h - 0.5), 0, n - 1)
+        jhi[a:a + _BLOCK] = np.clip(np.floor((fc + slack) / h - 0.5), 0, n - 1)
     return GridGraph(n, eps, jlo, jhi)
 
 
@@ -141,7 +145,7 @@ def recurrent_cells(g: GridGraph):
     from scipy.sparse.csgraph import connected_components
     ncomp, lab = connected_components(_sparse(g), directed=True, connection="strong")
     sizes = np.bincount(lab, minlength=ncomp)
-    ar = np.arange(g.n)
+    ar = np.arange(g.n, dtype=g.jlo.dtype)
     # a one-cell component carries a self-loop exactly when its cell does
     selfloop = (g.jlo <= ar) & (ar <= g.jhi)
     return (sizes >= 2)[lab] | selfloop, lab
@@ -186,7 +190,7 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     g = build_grid(m, n, eps)
     h = g.h
     rec, lab = recurrent_cells(g)
-    cells = np.flatnonzero(rec)
+    cells = np.flatnonzero(rec).astype(g.jlo.dtype)
     if len(cells) == 0:
         raise ValueError("no chain-recurrent cells: eps is too fine for this grid")
     from scipy.sparse import csr_matrix
@@ -220,8 +224,21 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
         f[a:a + _BLOCK] = m((members[a:a + _BLOCK] + 0.5) * h)
     tops = np.maximum.reduceat(f, starts)
     groups = np.split(members, starts[1:])
-    classes = tuple(groups[i] for i in np.lexsort((members[starts], tops)))
+    classes = tuple(groups[i].astype(np.int64) for i in np.lexsort((members[starts], tops)))
     return ChainClasses(n, classes, g)
+
+
+def _near(cs: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the cells within two cells of cs, outside cs: the mask of cs
+    shifted by one and two cells either way, so no index array is copied."""
+    inside = np.zeros(n, bool)
+    inside[cs] = True
+    near = np.zeros(n, bool)
+    for d in (1, 2):
+        near[d:] |= inside[:-d]
+        near[:-d] |= inside[d:]
+    near[cs] = False
+    return near
 
 
 def conley_graph(cc: ChainClasses):
@@ -234,12 +251,7 @@ def conley_graph(cc: ChainClasses):
     g = cc.graph
     edges = []
     for i, cs in enumerate(cc.classes):
-        seen = np.zeros(g.n, bool)
-        for d in (-2, -1, 1, 2):
-            # a clipped index lands on cell 0 or n-1 only when that cell is
-            # itself in the class or genuinely near it
-            seen[np.clip(cs + d, 0, g.n - 1)] = True
-        seen[cs] = False
+        seen = _near(cs, g.n)
         frontier = np.flatnonzero(seen)
         while len(frontier):
             nxt = _expand(g.jlo[frontier], g.jhi[frontier])[0]

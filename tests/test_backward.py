@@ -14,6 +14,7 @@ from unimodal import (
     salpha,
 )
 import unimodal.backward as backward
+from unimodal.maps import TU_BASE_MU
 from unimodal.backward import _LEVEL_CAP, _RETURN_STEPS, _returns_mask, _thin
 
 
@@ -178,6 +179,31 @@ def test_salpha_peak_is_its_tree_and_points_plus_two_per_point(traced_peak):
     del tree, pts
     assert points > 1_000_000
     assert traced_peak(salpha, m, 0.5, 24) < held + 2 * 8 * points
+
+
+def test_salpha_peak_is_two_arrays_of_its_points(traced_peak):
+    """salpha drops the tree before it joins the deep rows, and the rows
+    before it sorts: at most two 8-byte arrays of the points are alive (the
+    join and the distinct points, or the points and the probe's bin keys),
+    with four bytes a point on top for masks.  Holding the tree through
+    the join and the copy without repeats took 25 bytes a point."""
+    m = make_tent(2.0)
+    salpha(m, 0.5, 10)
+    points = len(build_backward_tree(m, 0.5, 24).deep_points(12))
+    assert points > 1_000_000
+    assert traced_peak(salpha, m, 0.5, 24) < 2 * 8 * points + 4 * points
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.one_of(st.floats(1.0, 2.0, exclude_min=True).map(make_tent),
+                   st.floats(0.9, 4.0 / TU_BASE_MU).map(make_tu),
+                   st.floats(3.0, 4.0).map(make_logistic)),
+       x=st.floats(0.0, 1.0), depth=st.integers(0, 14))
+def test_salpha_sees_the_deep_points_of_its_tree(m, x, depth):
+    """salpha and deep_points share one helper: the probe sees exactly the
+    distinct points of rows depth // 2 on."""
+    want = len(build_backward_tree(m, x, depth).deep_points(depth // 2))
+    assert salpha(m, x, depth).candidates == want
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import unimodal.chainoracle as chainoracle
+from unimodal.maps import TU_BASE_MU
 
 from unimodal import (
     ChainClasses,
@@ -16,7 +17,9 @@ from unimodal import (
     expansion_bound,
     expansion_time,
     hausdorff,
+    make_logistic,
     make_tent,
+    make_tu,
     match_nodes,
     recurrent_cells,
     verify_tower,
@@ -427,7 +430,7 @@ def test_sparse_graph_holds_the_windows():
 
 @pytest.mark.parametrize("s", [2.0, 1.4])
 def test_chain_classes_peak_is_its_arrays_plus_four_per_cell(s, traced_peak):
-    """The grid's two int64 windows and the int64 classes are kept; the
+    """The grid's two int32 windows and the int64 classes are kept; the
     scratch on top stays within four 8-byte arrays of the n cells.  Sorting
     the labels with np.unique and keeping every gluing pair held about 77
     bytes a cell on top at s = 2."""
@@ -438,3 +441,101 @@ def test_chain_classes_peak_is_its_arrays_plus_four_per_cell(s, traced_peak):
     kept = cc.graph.jlo.nbytes + cc.graph.jhi.nbytes + sum(c.nbytes for c in cc.classes)
     del cc
     assert traced_peak(chain_classes, m, n) < kept + 4 * 8 * n
+
+
+# ---------------------------------------------------------------------------
+# grid build and Conley seeds
+# ---------------------------------------------------------------------------
+
+def reference_grid(m, n, eps):
+    # the whole grid at once: float64 centers and images, cast to int64
+    h = 1.0 / n
+    fc = m((np.arange(n) + 0.5) * h)
+    slack = eps - h
+    jlo = np.clip(np.ceil((fc - slack) / h - 0.5), 0, n - 1).astype(np.int64)
+    jhi = np.clip(np.floor((fc + slack) / h - 0.5), 0, n - 1).astype(np.int64)
+    return jlo, jhi
+
+
+_B = chainoracle._BLOCK
+_MAPS = {"tent": (make_tent, 1.0, 2.0), "logistic": (make_logistic, 2.5, 4.0),
+         "tu": (make_tu, 0.9, 4.0 / TU_BASE_MU)}
+
+
+@st.composite
+def _grid_case(draw):
+    make, lo, hi = _MAPS[draw(st.sampled_from(sorted(_MAPS)))]
+    m = make(draw(st.floats(lo, hi, exclude_min=True)))
+    n = draw(st.one_of(st.integers(100, _B - 1),
+                       st.builds(lambda k, d: k * _B + d, st.integers(1, 3),
+                                 st.sampled_from([-1, 0, 1]))))
+    eps = draw(st.one_of(st.floats(1.5, 64.0).map(lambda k: k / n),
+                         st.floats(1.5 / n, 1e300)))
+    return m, n, max(eps, 1.5 * (1.0 / n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_grid_case())
+@example(case=(make_tent(2.0), _B + 1, 1e300))
+@example(case=(make_tu(1.0), 2 * _B - 1, 1.5 * (1.0 / (2 * _B - 1))))
+@example(case=(make_logistic(4.0), _B, 2.0 / _B))
+def test_blockwise_grid_equals_whole_array_grid(case):
+    """Windows filled a block at a time, the last block short or one cell
+    long, equal the whole-array formula value for value, in the index
+    dtype of n."""
+    m, n, eps = case
+    g = build_grid(m, n, eps)
+    jlo, jhi = reference_grid(m, n, eps)
+    assert g.jlo.dtype == g.jhi.dtype == chainoracle._index_dtype(n)
+    assert np.array_equal(g.jlo, jlo)
+    assert np.array_equal(g.jhi, jhi)
+
+
+def test_build_grid_peak_is_its_windows_plus_one_block(traced_peak):
+    """The two int32 windows are kept; the scratch on top is one block's
+    float arrays (centers, f with the map's branch index and coefficient
+    gathers, the ceil and clip chain), within eight 8-byte arrays of a
+    block.  The whole-grid build held about 40 bytes a cell."""
+    n = 200_000
+    m = make_tent(2.0)
+    build_grid(m, 1000, 2 / 1000)
+    kept = 2 * 4 * n
+    assert traced_peak(build_grid, m, n, 2 / n) < kept + 8 * 8 * _B
+
+
+def reference_seeds(cs, n):
+    # the class shifted by +-1 and +-2 as int64 indices clipped to the grid
+    seen = np.zeros(n, bool)
+    for d in (-2, -1, 1, 2):
+        seen[np.clip(cs + d, 0, n - 1)] = True
+    seen[cs] = False
+    return seen
+
+
+@pytest.mark.parametrize("cs", [[0], [1], [0, 1], [0, 1, 2, 3], [99], [98], [97, 98, 99],
+                                [50], [0, 99], [40, 41, 42, 43], [10, 11, 14, 20, 21, 22]],
+                         ids=str)
+def test_conley_seeds_equal_clipped_shifts(cs):
+    n = 100
+    cs = np.array(cs, dtype=np.int64)
+    assert np.array_equal(chainoracle._near(cs, n), reference_seeds(cs, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 60), data=st.data())
+def test_conley_seeds_of_any_cells_equal_clipped_shifts(n, data):
+    cells = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    cs = np.array(sorted(cells), dtype=np.int64)
+    assert np.array_equal(chainoracle._near(cs, n), reference_seeds(cs, n))
+
+
+def test_conley_graph_peak_is_a_few_bytes_a_cell(traced_peak):
+    """At s = 2 one class holds every recurrent cell.  Its seeds take two
+    masks of the grid, a byte a cell each; shifting the int64 class and
+    clipping the shift held 16 bytes a class cell."""
+    n = 200_000
+    m = make_tent(2.0)
+    conley_graph(chain_classes(m, 1000))
+    cc = chain_classes(m, n)
+    assert len(cc) == 1 and len(cc.classes[0]) > n // 2
+    assert traced_peak(conley_graph, cc) < 4 * n
