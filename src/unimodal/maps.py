@@ -541,8 +541,8 @@ def merge_intervals(intervals, tol: float = 0.0):
 def subtract_intervals(base, holes):
     """Set difference (union of base) minus (union of open interiors of holes).
 
-    Both arguments are lists of Interval; the result is closed intervals.
-    Degenerate slivers below 1e-15 are dropped.
+    Both arguments are lists of Interval; the result is closed intervals
+    whose endpoints are endpoints of base or of holes.
     """
     cur = merge_intervals(base)
     for h in merge_intervals(holes):
@@ -556,7 +556,7 @@ def subtract_intervals(base, holes):
             if h.hi < iv.hi:
                 nxt.append(Interval(max(h.hi, iv.lo), iv.hi))
         cur = nxt
-    return [iv for iv in cur if iv.length > 1e-15 or iv.length == 0.0]
+    return cur
 
 
 def runs(values, gap):

@@ -117,9 +117,12 @@ class LevelPartition:
     """The sets U_{-1}, U_0, ..., U_p keyed by level.
 
     Stored intervals are closed hulls, so neighbouring levels share their
-    endpoints.  classify_point reads the level of a point off this partition
-    as the deepest level holding it, which keeps the cores closed, U_0
-    right-open and U_{-1} left-open.
+    endpoints.  They cover [0, 1] in float64 too, so every x has a level:
+    merge_intervals and subtract_intervals copy endpoints and never compute
+    one, and A - int B together with B contains A for closed A and B.
+    Working down from the attractor, levels k..p cover the core union of
+    level k-1, so levels 1..p cover [c_2, c_1]; U_0 = [0, c_2] and
+    U_{-1} = [c_1, 1] hold the rest.
     """
 
     s: float
@@ -399,17 +402,12 @@ def classify_point(s: float, x: float) -> int:
 
     Taking the deepest keeps the cores closed, and makes U_0 right-open and
     U_{-1} left-open: c_2 and c_1 lie in the level-0 core, so in level 1 or
-    deeper.  The partition drops slivers under 1e-15 (a few slopes within
-    about 1e-8 of a doubling boundary have them); a point in one is refused.
+    deeper.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x={x} outside [0, 1]")
-    hits = [k for k, ivs in level_partition(s).levels.items()
-            if any(iv.contains(x) for iv in ivs)]
-    if not hits:
-        raise ValueError(f"x={x!r} lies in a sliver under 1e-15 that the level "
-                         f"partition at s={s!r} drops")
-    return max(hits)
+    return max(k for k, ivs in level_partition(s).levels.items()
+               if any(iv.contains(x) for iv in ivs))
 
 
 def predicted_salpha(s: float, x: float) -> PredictedSAlpha:

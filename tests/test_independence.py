@@ -6,7 +6,9 @@ never name `maps.runs`, the run splitter of the oracle and the estimator.
 The estimator in `backward` never reads the prediction it is compared
 with: it imports only `maps` and `orbits`, and the comparisons live in
 `cli`.  The export lists are honest too: every name in a module's
-`__all__` exists, and the root re-exports only exported names.
+`__all__` exists, and the root re-exports only exported names.  No
+private helper outlives its last caller: every private function, class
+and module-level constant of the package is read somewhere in it.
 """
 
 import ast
@@ -149,3 +151,52 @@ def test_analytic_side_never_names_the_run_splitter():
 ])
 def test_name_reader_sees_runs(source):
     assert "runs" in names_in(source)
+
+
+def private_definitions(source: str) -> set:
+    """Private functions and classes (nested ones too) and module-level
+    constants that source defines: names with one leading underscore."""
+    tree = ast.parse(source)
+    found = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.add(node.target.id)
+    return {name for name in found if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set:
+    """Every name and attribute that source reads, and every name it imports;
+    assignments and definitions do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_private_name_is_read():
+    # a helper that lost its last caller is dead code: delete it with the caller
+    sources = [p.read_text() for p in SRC.glob("*.py")]
+    defined = set().union(*map(private_definitions, sources))
+    read = set().union(*map(names_read, sources))
+    assert sorted(defined - read) == []
+
+
+@pytest.mark.parametrize("source, defined, unread", [
+    ("def _f():\n    return 1\n\n_f()", {"_f"}, set()),
+    ("_LIMIT = 3\n_N: int = 2\nx = _N", {"_LIMIT", "_N"}, {"_LIMIT"}),
+    ("class _Box:\n    def __init__(self):\n        self._n = 1\n    def _get(self):\n"
+     "        return self._n", {"_Box", "_get"}, {"_Box", "_get"}),
+    ("from .maps import _cut as cut\ndef f(x):\n    def _step(y):\n        return cut(y)\n"
+     "    return _step(x)", {"_step"}, set()),
+])
+def test_private_name_reader(source, defined, unread):
+    assert private_definitions(source) == defined
+    assert defined - names_read(source) == unread

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unimodal import (
     Interval,
@@ -93,6 +93,30 @@ class TestInterval:
         b = [Interval(0.0, 1.0)]
         assert hausdorff(a, b) == pytest.approx(0.5)
         assert hausdorff(a, a) == 0.0
+
+
+closed_intervals = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(lambda t: Interval(min(t), max(t))),
+    max_size=6)
+
+
+def inside(iv, union):
+    return any(u.lo <= iv.lo and iv.hi <= u.hi for u in union)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=closed_intervals, holes=closed_intervals)
+@example(base=[Interval(0.0, 1.0)], holes=[Interval(1e-16, 0.5)])
+def test_subtract_cuts_exactly(base, holes):
+    """The difference only copies endpoints, stays inside base, and with the
+    holes put back covers all of base, however thin a piece is."""
+    out = subtract_intervals(base, holes)
+    ends = {e for iv in base + holes for e in iv}
+    assert all(e in ends for iv in out for e in iv)
+    whole = merge_intervals(base)
+    assert all(inside(iv, whole) for iv in out)
+    refilled = merge_intervals(out + holes)
+    assert all(inside(iv, refilled) for iv in whole)
 
 
 class TestTentFamily:
