@@ -241,12 +241,49 @@ def _near(cs: np.ndarray, n: int) -> np.ndarray:
     return near
 
 
+def _hulls(lo: np.ndarray, hi: np.ndarray):
+    """The union of the windows lo[k] .. hi[k] as sorted disjoint windows
+    that neither overlap nor touch (empty ones may be among them).
+
+    A run of consecutive windows, each overlapping or touching the next
+    and none empty, covers exactly its hull [min lo, max hi]; an empty
+    window is a run of its own.  The run ends are marked _BLOCK windows at
+    a time, a byte a window, and the hulls are merged by a stable sort on
+    their lows and a running max of their highs.
+    """
+    cut = np.empty(len(lo), bool)
+    cut[:1] = True
+    for a in range(1, len(lo), _BLOCK):
+        l, h = lo[a - 1:a + _BLOCK], hi[a - 1:a + _BLOCK]
+        c = cut[a:a + _BLOCK]
+        np.greater(l[1:] - 1, h[:-1], out=c)
+        c |= l[:-1] - 1 > h[1:]
+        c |= l[1:] > h[1:]
+        c |= l[:-1] > h[:-1]
+    starts = np.flatnonzero(cut)
+    del cut
+    hlo = np.minimum.reduceat(lo, starts)
+    hhi = np.maximum.reduceat(hi, starts)
+    order = np.argsort(hlo, kind="stable")
+    hlo, hhi = hlo[order], np.maximum.accumulate(hhi[order])
+    new = np.empty(len(hlo), bool)
+    new[:1] = True
+    np.greater(hlo[1:] - 1, hhi[:-1], out=new[1:])
+    return hlo[new], hhi[np.append(new[1:], True)]
+
+
 def conley_graph(cc: ChainClasses):
     """Reachability edges between classes in the eps-chain graph.
 
     An edge i -> j is recorded when some cell within two cells of class i
     (but outside it) reaches class j along graph edges; this captures both
     genuine escape routes and orbits grazing past a repelling class.
+
+    The search runs breadth first from those cells.  Each step takes the
+    windows of the sorted frontier; a run of frontier cells whose windows
+    overlap or touch, with no gap, reaches exactly its window hull, so the
+    merged hulls (`_hulls`) expand once into the next sorted frontier, and
+    no expanded cell is sorted.
     """
     g = cc.graph
     edges = []
@@ -254,11 +291,9 @@ def conley_graph(cc: ChainClasses):
         seen = _near(cs, g.n)
         frontier = np.flatnonzero(seen)
         while len(frontier):
-            nxt = _expand(g.jlo[frontier], g.jhi[frontier])[0]
-            nxt = np.sort(nxt[~seen[nxt]])
-            nxt = nxt[np.diff(nxt, prepend=-1) != 0]
-            seen[nxt] = True
-            frontier = nxt
+            nxt = _expand(*_hulls(g.jlo[frontier], g.jhi[frontier]))[0]
+            frontier = nxt[~seen[nxt]]
+            seen[frontier] = True
         for j in range(len(cc.classes)):
             if j != i and seen[cc.classes[j]].any():
                 edges.append((i, j))

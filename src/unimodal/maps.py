@@ -45,6 +45,7 @@ __all__ = [
 TU_BASE_MU = 3.854
 
 _DEDUP_TOL = 1e-12
+_BLOCK = 1 << 15     # roots compared at once by preimages_array
 
 
 @dataclass(frozen=True)
@@ -242,12 +243,23 @@ class PiecewiseMap:
         found by both branches at a joint) dropped.  Used by the
         backward-orbit machinery where the per-point tree structure does
         not matter, only the level sets.
+
+        The laps' roots are joined in domain order, a falling lap's
+        reversed, so a sorted ys gives one ascending run per lap (a quad
+        lap may add a short run of the roots it clips to an end), and one
+        stable sort in place merges the runs in linear time.  The sort,
+        not the order of ys, makes the result: ys in any order gives the
+        same array.  The gaps are compared _BLOCK roots at a time, and a
+        join with nothing to drop is returned as it is, so no copy of the
+        roots is made.
         """
-        allx = np.sort(np.concatenate([b.invert(ys) for b in self.branches]))
+        allx = np.concatenate([b.invert(ys)[::b.direction] for b in self.branches])
+        allx.sort(kind="stable")
         keep = np.empty(len(allx), dtype=bool)
         keep[:1] = True
-        np.greater(np.diff(allx), _DEDUP_TOL, out=keep[1:])
-        return allx[keep]
+        for a in range(1, len(allx), _BLOCK):
+            np.greater(np.diff(allx[a - 1:a + _BLOCK]), _DEDUP_TOL, out=keep[a:a + _BLOCK])
+        return allx if keep.all() else allx[keep]
 
     def interval_image(self, lo, hi):
         """Image of [lo, hi] as an (lo, hi) pair, for scalars or arrays.

@@ -10,6 +10,7 @@ from unimodal.maps import TU_BASE_MU
 
 from unimodal import (
     ChainClasses,
+    GridGraph,
     analytic_nodes,
     build_grid,
     chain_classes,
@@ -527,6 +528,37 @@ def test_conley_seeds_of_any_cells_equal_clipped_shifts(n, data):
     cells = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     cs = np.array(sorted(cells), dtype=np.int64)
     assert np.array_equal(chainoracle._near(cs, n), reference_seeds(cs, n))
+
+
+@pytest.mark.parametrize("m", [make_tent(1.5), make_tent(1.7), make_tent(1.9), make_tent(1.99),
+                               make_tu(1.0), make_logistic(3.83)], ids=lambda m: m.label)
+@pytest.mark.parametrize("n", [2_000, 20_000])
+@pytest.mark.parametrize("k", [1.5, 1.625, 1.7499])
+def test_conley_hulls_across_gaps_equal_reference(m, n, k):
+    """Below 1.75h some neighbouring windows neither overlap nor touch, so
+    a frontier splits into several hulls; the reach is the same cell for
+    cell as the per-cell expansion's."""
+    cc = chain_classes(m, n, max(k * (1.0 / n), 1.5 * (1.0 / n)))
+    g = cc.graph
+    assert np.any((g.jlo[1:] - 1 > g.jhi[:-1]) | (g.jlo[:-1] - 1 > g.jhi[1:]))
+    assert conley_graph(cc) == reference_conley_graph(cc)
+
+
+def test_conley_hulls_skip_an_empty_window():
+    """A hand-built grid of self-loops with empty windows (jlo > jhi) in
+    the frontiers.  Class 0's frontier sends 13 to the empty [45, 44] and
+    12 to [20, 22], next to 9's [23, 25]; a hull over the empty window
+    would reach class 1 at 40, 41.  Class 2's frontier sends 72 to the
+    empty [41, 40] and 73 into class 1."""
+    n = 100
+    jlo = np.arange(n, dtype=np.int32)
+    jhi = jlo.copy()
+    for cell, lo, hi in [(9, 23, 25), (12, 20, 22), (13, 45, 44), (25, 70, 70),
+                         (72, 41, 40), (73, 39, 41)]:
+        jlo[cell], jhi[cell] = lo, hi
+    classes = tuple(np.array(c, dtype=np.int64) for c in ([10, 11], [40, 41], [70, 71]))
+    cc = ChainClasses(n, classes, GridGraph(n, 2.0 / n, jlo, jhi))
+    assert conley_graph(cc) == reference_conley_graph(cc) == [(0, 2), (2, 1)]
 
 
 def test_conley_graph_peak_is_a_few_bytes_a_cell(traced_peak):

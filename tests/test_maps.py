@@ -15,7 +15,9 @@ from unimodal import (
     subtract_intervals,
     tu_skeleton,
 )
-from unimodal.maps import TU_BASE_MU, MapStack, bisect_root, runs
+from unimodal import backward
+from unimodal.backward import build_backward_tree
+from unimodal.maps import _DEDUP_TOL, TU_BASE_MU, MapStack, bisect_root, runs
 
 
 def reference_interval_image(m, lo, hi):
@@ -324,6 +326,64 @@ def test_preimages_match_scalar_branch_walk(family, data, drawn):
     apart = [y for y, prev in zip(ys, [-1.0] + ys) if y - prev > 1e-9]
     want = sorted({x for y in apart for x in m.preimages(y)})
     assert m.preimages_array(apart + apart).tolist() == want
+
+
+def reference_preimages_array(m, ys):
+    # the laps' roots joined as each branch gives them, sorted into a copy,
+    # then the dedupe against the predecessor in one whole-array pass
+    allx = np.sort(np.concatenate([b.invert(ys) for b in m.branches]))
+    keep = np.empty(len(allx), dtype=bool)
+    keep[:1] = True
+    np.greater(np.diff(allx), _DEDUP_TOL, out=keep[1:])
+    return allx[keep]
+
+
+def _batches(m, row, rng):
+    # a sorted tree row, shuffled, with repeats sorted and shuffled, and
+    # the joint values, 0 and the peak, where neighbouring laps share roots
+    special = np.array([float(b(e)) for b in m.branches for e in b.domain] + [0.0, m.peak])
+    return [row, rng.permutation(row), np.repeat(row, 2),
+            rng.permutation(np.concatenate([row, row[::3]])),
+            special, np.sort(np.concatenate([row, special]))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.one_of(*(params.map(make) for make, params in _INVERT_FAMILIES.values())),
+       u=st.floats(0.0, 1.0), depth=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+@example(m=make_logistic(3.9), u=1.0, depth=3, seed=0)
+def test_lap_order_never_changes_a_row(m, u, depth, seed):
+    """Joining the laps in domain order, falling laps reversed, and sorting
+    in place gives the array the sorted copy gave, whatever the order of
+    the values, and with the values repeated."""
+    row = build_backward_tree(m, u * m.peak, depth).levels[-1]
+    for ys in _batches(m, row, np.random.default_rng(seed)):
+        assert np.array_equal(m.preimages_array(ys), reference_preimages_array(m, ys))
+
+
+@pytest.mark.parametrize("m, x", [(make_tent(2.0), 0.5), (make_tent(1.7), 0.5),
+                                  (make_logistic(3.9), 0.5), (make_tu(1.0), 0.5)],
+                         ids=lambda v: getattr(v, "label", v))
+def test_lap_order_never_changes_a_capped_row(m, x):
+    tree = build_backward_tree(m, x, 24)
+    capped = [r for r in tree.levels if len(r) == backward._LEVEL_CAP]
+    assert tree.truncated and capped
+    for ys in _batches(m, capped[-1], np.random.default_rng(0)):
+        assert np.array_equal(m.preimages_array(ys), reference_preimages_array(m, ys))
+
+
+def test_preimages_array_peak_is_the_join_of_its_laps(traced_peak):
+    """Inverting a capped row of 200,000 points gives 400,000 roots.  Only
+    the laps' roots and their join, two 8-byte arrays of the roots, are
+    alive at once: 16.0 bytes a root.  The sort is in place, the gaps are
+    compared a block at a time and nothing is dropped here, so no copy of
+    the roots is made.  A sorted copy of the join, with the whole row's
+    np.diff and the mask beside it, took 17.0 bytes a root."""
+    m = make_tent(2.0)
+    row = build_backward_tree(m, 0.5, 24).levels[-1]
+    assert len(row) == backward._LEVEL_CAP
+    m.preimages_array(row[:100])
+    roots = 2 * len(row)
+    assert traced_peak(m.preimages_array, row) < 2 * 8 * roots + roots // 2
 
 
 _IMAGE_FAMILIES = {
