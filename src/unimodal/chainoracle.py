@@ -6,10 +6,12 @@ never sees the closed-form tower of `structure`; `cli` pairs the two.  The
 domain is cut into n cells, an edge i -> j is drawn when every point of
 cell j lies within eps of the image of cell i's center, and the
 chain-recurrent set, its classes, and the reachability order between them
-are read off the directed graph.  Strongly connected components come from
-scipy; everything else is plain array work.  scipy loads at the first
-oracle call, not on import: it was 230 of the 350 ms of `import unimodal`
-on 2 cores, and most callers never run the oracle.
+are read off the directed graph.  The strong component of one pivot cell
+is peeled by a forward search over window hulls and a backward
+breadth-first search from scipy; scipy's strong components label the
+other cells, and everything else is plain array work.  scipy loads at the
+first oracle call, not on import: it was 230 of the 350 ms of
+`import unimodal` on 2 cores, and most callers never run the oracle.
 
 The chain-recurrent set is the intersection of the eps-chain-recurrent
 sets over all eps > 0, and one eps is enough to compute it on a fixed
@@ -127,25 +129,76 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
     return cells, ptr
 
 
-def _sparse(g: GridGraph):
+def _induced(g: GridGraph, keep: np.ndarray):
+    """The subgraph of g induced on the cells keep marks, as a CSR matrix
+    with the kept cells numbered by rank.
+
+    The kept cells of a window have consecutive ranks, so each kept row is
+    still one window, of ranks, and `_expand` writes its edges.
+    """
     # here, not at module top: scipy was 230 of the 350 ms of `import unimodal`
     from scipy.sparse import csr_matrix
-    idx, ptr = _expand(g.jlo, g.jhi)
+    # kept cells before each cell: a window [lo, hi] holds the ranks
+    # before[lo] .. before[hi + 1] - 1
+    before = np.zeros(len(keep) + 1, g.jlo.dtype)
+    np.cumsum(keep, dtype=before.dtype, out=before[1:])
+    lo = np.take(before, g.jlo[keep])
+    hi = g.jhi[keep]
+    hi += 1
+    hi = np.take(before, hi)
+    hi -= 1
+    del before
+    idx, ptr = _expand(lo, hi)
     # csgraph reads only the structure, as float64: a zero-stride 1.0 is
     # that dtype already, so neither side copies the edges
-    return csr_matrix((np.broadcast_to(1.0, len(idx)), idx, ptr), shape=(g.n, g.n))
+    return csr_matrix((np.broadcast_to(1.0, len(idx)), idx, ptr), shape=(len(lo), len(lo)))
 
 
 def recurrent_cells(g: GridGraph):
-    """Boolean mask of chain-recurrent cells plus the strong-component labels.
+    """Boolean mask of chain-recurrent cells plus strong-component labels.
 
     A cell is recurrent when its strongly connected component has at least
-    two cells or carries a self-loop.
+    two cells or carries a self-loop.  The labels are arbitrary component
+    ids: two cells share one exactly when they share a component.
+
+    The component of the pivot, the first cell of largest jhi, is peeled
+    first (Fleischer, Hendrickson & Pinar 2000): the cells the pivot
+    reaches (`_reach`) that reach it back, found by one breadth-first
+    search of the reversed subgraph on them, are its component, and they
+    take one label.  scipy's strong components run only on the subgraph
+    induced on the other cells, which no longer holds the one giant
+    component of a chaotic map.
     """
-    from scipy.sparse.csgraph import connected_components
-    ncomp, lab = connected_components(_sparse(g), directed=True, connection="strong")
-    sizes = np.bincount(lab, minlength=ncomp)
-    ar = np.arange(g.n, dtype=g.jlo.dtype)
+    from scipy.sparse import csc_matrix, csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    n = g.n
+    pivot = int(np.argmax(g.jhi))
+    fwd = np.zeros(n, bool)
+    fwd[pivot] = True
+    _reach(g, fwd)
+    # the reversed subgraph as CSR: the forward CSR's arrays read as CSC
+    # and converted with int8 data, so no float64 copy of the edges is made
+    sub = _induced(g, fwd)
+    back = csc_matrix((np.broadcast_to(np.int8(1), sub.nnz), sub.indices, sub.indptr),
+                      shape=sub.shape).tocsr()
+    del sub
+    back = csr_matrix((np.broadcast_to(1.0, back.nnz), back.indices, back.indptr),
+                      shape=back.shape)
+    # searched from the pivot's rank among the cells it reaches
+    hit = np.zeros(back.shape[0], bool)
+    hit[breadth_first_order(back, int(np.count_nonzero(fwd[:pivot])),
+                            return_predecessors=False)] = True
+    del back
+    # every cell outside the pivot's component
+    rest = ~fwd
+    rest[fwd] = ~hit
+    del fwd, hit
+    ncomp, lab_rest = connected_components(_induced(g, rest), connection="strong")
+    lab = np.full(n, ncomp, lab_rest.dtype)
+    lab[rest] = lab_rest
+    del rest, lab_rest
+    sizes = np.bincount(lab, minlength=ncomp + 1)
+    ar = np.arange(n, dtype=g.jlo.dtype)
     # a one-cell component carries a self-loop exactly when its cell does
     selfloop = (g.jlo <= ar) & (ar <= g.jhi)
     return (sizes >= 2)[lab] | selfloop, lab
@@ -272,28 +325,35 @@ def _hulls(lo: np.ndarray, hi: np.ndarray):
     return hlo[new], hhi[np.append(new[1:], True)]
 
 
+def _reach(g: GridGraph, seen: np.ndarray) -> np.ndarray:
+    """Mark in seen every cell reachable from the cells it marks; return seen.
+
+    The search runs breadth first.  Each step takes the windows of the
+    sorted frontier; a run of frontier cells whose windows overlap or
+    touch, with no gap, reaches exactly its window hull, so the merged
+    hulls (`_hulls`) expand once into the next sorted frontier, and no
+    expanded cell is sorted.
+    """
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        nxt = _expand(*_hulls(g.jlo[frontier], g.jhi[frontier]))[0]
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
+    return seen
+
+
 def conley_graph(cc: ChainClasses):
     """Reachability edges between classes in the eps-chain graph.
 
     An edge i -> j is recorded when some cell within two cells of class i
-    (but outside it) reaches class j along graph edges; this captures both
-    genuine escape routes and orbits grazing past a repelling class.
-
-    The search runs breadth first from those cells.  Each step takes the
-    windows of the sorted frontier; a run of frontier cells whose windows
-    overlap or touch, with no gap, reaches exactly its window hull, so the
-    merged hulls (`_hulls`) expand once into the next sorted frontier, and
-    no expanded cell is sorted.
+    (but outside it) reaches class j along graph edges (`_reach`); this
+    captures both genuine escape routes and orbits grazing past a
+    repelling class.
     """
     g = cc.graph
     edges = []
     for i, cs in enumerate(cc.classes):
-        seen = _near(cs, g.n)
-        frontier = np.flatnonzero(seen)
-        while len(frontier):
-            nxt = _expand(*_hulls(g.jlo[frontier], g.jhi[frontier]))[0]
-            frontier = nxt[~seen[nxt]]
-            seen[frontier] = True
+        seen = _reach(g, _near(cs, g.n))
         for j in range(len(cc.classes)):
             if j != i and seen[cc.classes[j]].any():
                 edges.append((i, j))

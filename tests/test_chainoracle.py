@@ -261,12 +261,24 @@ def test_analytic_sets_inside_oracle(s):
 # reference oracle: every rung built, masks intersected, Python union-find
 # ---------------------------------------------------------------------------
 
+def reference_recurrent_cells(g):
+    # scipy's strong components of the whole graph, every window expanded
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    idx, ptr = chainoracle._expand(g.jlo, g.jhi)
+    graph = csr_matrix((np.ones(len(idx)), idx, ptr), shape=(g.n, g.n))
+    ncomp, lab = connected_components(graph, directed=True, connection="strong")
+    sizes = np.bincount(lab, minlength=ncomp)
+    ar = np.arange(g.n)
+    return (sizes >= 2)[lab] | ((g.jlo <= ar) & (ar <= g.jhi)), lab
+
+
 def reference_chain_classes(m, n, epsilons):
     h = 1.0 / n
     rec_all = None
     for e in epsilons:
         fine = build_grid(m, n, e)
-        rec, lab = recurrent_cells(fine)
+        rec, lab = reference_recurrent_cells(fine)
         rec_all = rec if rec_all is None else rec_all & rec
     cells = np.flatnonzero(rec_all)
     parent = np.arange(int(cells[-1]) + 1, dtype=np.int64)
@@ -420,13 +432,23 @@ def test_index_dtype_widens_past_int32():
     assert chainoracle._index_dtype(62 * 10**9) is np.int64
 
 
-def test_sparse_graph_holds_the_windows():
-    g = build_grid(make_tent(1.7), 1000, 3e-3)
-    a = chainoracle._sparse(g).toarray() != 0
-    want = np.zeros((g.n, g.n), bool)
-    for i in range(g.n):
-        want[i, g.jlo[i]:g.jhi[i] + 1] = True
-    assert np.array_equal(a, want)
+def test_induced_graph_holds_the_windows():
+    """Every cell kept gives the windows cell for cell; a random mask gives
+    the dense submatrix on the kept rows and columns, ranks for cells.  The
+    tent 1.5 grid at 1.6h has windows with gaps between them."""
+    n = 1000
+    rng = np.random.default_rng(0)
+    for m, k in [(make_tent(1.7), 3.0), (make_tent(1.5), 1.6), (make_logistic(3.5), 2.0)]:
+        g = build_grid(m, n, k / n)
+        full = np.zeros((n, n), bool)
+        for i in range(n):
+            full[i, g.jlo[i]:g.jhi[i] + 1] = True
+        assert np.array_equal(chainoracle._induced(g, np.ones(n, bool)).toarray() != 0, full)
+        for p in (0.0, 0.1, 0.5, 0.9):
+            keep = rng.random(n) < p
+            sub = chainoracle._induced(g, keep)
+            assert sub.shape == (keep.sum(), keep.sum())
+            assert np.array_equal(sub.toarray() != 0, full[np.ix_(keep, keep)])
 
 
 @pytest.mark.parametrize("s", [2.0, 1.4])
@@ -504,6 +526,55 @@ def test_build_grid_peak_is_its_windows_plus_one_block(traced_peak):
     assert traced_peak(build_grid, m, n, 2 / n) < kept + 8 * 8 * _B
 
 
+# ---------------------------------------------------------------------------
+# strong components: the pivot's component peeled, scipy on the rest
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _peel_case(draw):
+    name = draw(st.sampled_from(sorted(_MAPS)))
+    make, lo, hi = _MAPS[name]
+    param = draw(st.floats(1.001, 2.0) if name == "tent" else st.floats(lo, hi, exclude_min=True))
+    return make(param), draw(st.sampled_from([2_000, 20_000])), draw(st.floats(1.5, 64.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_peel_case())
+@example(case=(make_logistic(3.5), 20_000, 2.0))
+@example(case=(make_tent(2.0), 20_000, 2.0))
+@example(case=(make_tent(1.5), 20_000, 1.6))
+@example(case=(make_tu(1.0), 20_000, 3.0))
+def test_peeled_components_equal_whole_graph_components(case):
+    """The same recurrent cells and the same partition into strong
+    components (a bijection of labels) as scipy on the whole graph.  On
+    logistic 3.5 at 2h the pivot is transient and its component is that
+    one cell, though it reaches 25; at tent 2.0 the peel leaves no cell;
+    tent 1.5 at 1.6h has windows with gaps."""
+    m, n, k = case
+    h = 1.0 / n
+    g = build_grid(m, n, max(k * h, 1.5 * h))
+    mask, lab = recurrent_cells(g)
+    want_mask, want_lab = reference_recurrent_cells(g)
+    assert np.array_equal(mask, want_mask)
+    pairs = np.unique(np.stack([lab, want_lab]), axis=1)
+    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
+
+
+@pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
+def test_recurrent_cells_peak_is_thirty_bytes_a_cell(s, traced_peak):
+    """At s = 2 the peel holds every cell, and the peak is its reversal:
+    the forward CSR (12 bytes a cell) beside the reversed one with its
+    int8 data (16), 29.0 bytes a cell.  s = 1.8 reads 21.8 and s = 1.4,
+    where scipy's pass sees most cells, 19.6.  Handing scipy the
+    transpose, which it converts to a float64 CSR beside the forward one,
+    read 58.0 at s = 2."""
+    n = 200_000
+    m = make_tent(s)
+    recurrent_cells(build_grid(m, 1000, 2 / 1000))
+    g = build_grid(m, n, 2 / n)
+    assert traced_peak(recurrent_cells, g) < 30 * n
+
+
 def reference_seeds(cs, n):
     # the class shifted by +-1 and +-2 as int64 indices clipped to the grid
     seen = np.zeros(n, bool)
@@ -571,3 +642,16 @@ def test_conley_graph_peak_is_a_few_bytes_a_cell(traced_peak):
     cc = chain_classes(m, n)
     assert len(cc) == 1 and len(cc.classes[0]) > n // 2
     assert traced_peak(conley_graph, cc) < 4 * n
+
+
+@pytest.mark.parametrize("s, per_cell", [(1.4, 6), (1.8, 9)])
+def test_conley_search_peak_is_a_few_bytes_a_cell(s, per_cell, traced_peak):
+    """Below s = 2 there are two or three classes, so the search from
+    their seeds runs; its frontiers and hulls peak at 5.1 bytes a cell at
+    s = 1.4 and 8.0 at s = 1.8."""
+    n = 200_000
+    m = make_tent(s)
+    conley_graph(chain_classes(m, 1000))
+    cc = chain_classes(m, n)
+    assert len(cc) > 1
+    assert traced_peak(conley_graph, cc) < per_cell * n
