@@ -193,15 +193,23 @@ def recurrent_cells(g: GridGraph):
     rest = ~fwd
     rest[fwd] = ~hit
     del fwd, hit
-    ncomp, lab_rest = connected_components(_induced(g, rest), connection="strong")
+    # no cell is left on every s = 2 grid, where the pivot's component is all
+    ncomp, lab_rest = (connected_components(_induced(g, rest), connection="strong")
+                       if rest.any() else (0, np.zeros(0, np.int32)))
+    # the rest's cells in components of two or more, from its labels alone
+    big = (np.bincount(lab_rest) >= 2)[lab_rest]
     lab = np.full(n, ncomp, lab_rest.dtype)
     lab[rest] = lab_rest
-    del rest, lab_rest
-    sizes = np.bincount(lab, minlength=ncomp + 1)
+    del lab_rest
     ar = np.arange(n, dtype=g.jlo.dtype)
     # a one-cell component carries a self-loop exactly when its cell does
-    selfloop = (g.jlo <= ar) & (ar <= g.jhi)
-    return (sizes >= 2)[lab] | selfloop, lab
+    rec = (g.jlo <= ar) & (ar <= g.jhi)
+    del ar
+    rec[rest] |= big
+    # the peeled cells, ~rest, are one component
+    if n - np.count_nonzero(rest) >= 2:
+        rec |= ~rest
+    return rec, lab
 
 
 @dataclass(frozen=True)

@@ -279,13 +279,67 @@ def _check_histogram(*, columns=1, transient=0, samples=1, bins=1, step=1.0):
         raise ValueError(f"step={step} must be positive")
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _start_jitter(seed) -> float:
+    """``np.random.default_rng(seed).uniform(-1e-9, 1e-9, 1)[0]``, computed
+    without importing numpy.random, which costs a fresh process about 6 MB.
+    The steps are NumPy's (NEP 19): SeedSequence mixes the seed's 32-bit
+    words into a pool of four and draws four 64-bit words from it, PCG64
+    (O'Neill 2014; XSL-RR output of a 128-bit LCG) is seeded with the
+    first two as its state and the last two as its stream, and one
+    next_double scales the top 53 bits of its first output.  A negative or
+    non-integer seed is refused by name."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed={seed} must be a non-negative integer")
+    seed = int(seed)
+    words = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
+    mult = 0x43b0d7e5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931e8875 & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xca01f9dd * x - 0x4973f715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, out = 0x8b51f9dd, 0
+    for i in range(8):      # generate_state(4, uint64), little-endian words
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58f38ded & _M32
+        value = value * mult & _M32
+        out |= (value ^ value >> 16) << 32 * i
+    w = [out >> 64 * j & _M64 for j in range(4)]
+    lcg = 0x2360ed051fc65da44385df649fccf645
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * lcg + inc) & _M128     # srandom
+    state = (state * lcg + inc) & _M128                             # first step
+    x, rot = (state >> 64 ^ state) & _M64, state >> 122
+    x = (x >> rot | x << (64 - rot)) & _M64
+    # uniform's low + (high - low) * next_double, in numpy's float64 steps
+    return -1e-9 + (1e-9 - -1e-9) * ((x >> 11) * (1.0 / 9007199254740992.0))
+
+
 def _orbit_histogram(base, scales, transient, samples, bins, seed):
     # One start for every column, the one a single-column call draws, so
     # column j equals a call with scales[j] alone.  A step multiplies f(x)
     # by scales in place, the same product as scales * f(x) to the bit.
     columns = len(scales)
     _check_histogram(columns=columns, transient=transient, samples=samples, bins=bins)
-    x0 = base.critical + np.random.default_rng(seed).uniform(-1e-9, 1e-9, 1)
+    x0 = base.critical + _start_jitter(seed)
     x = np.repeat(np.clip(x0, 0.0, 1.0), columns)
     for _ in range(transient):
         x = base.eval_array(x)

@@ -125,17 +125,24 @@ class _Tables(NamedTuple):
     quad: np.ndarray | None     # None when no branch is quadratic
 
     def eval(self, x, k):
-        """Branch k[i]'s arithmetic at x[i]: slope*x + intercept, then
-        a*x*(1-x) on the points of quad branches, the same operations in
-        the same order as ``Branch.__call__``."""
-        out = self.slope[k]     # a fresh array: the products run in place
+        """Branch k[i]'s arithmetic at x[i]: slope*x + intercept, plus
+        a*x*(1-x) when a map has quad branches, the same operations in the
+        same order as ``Branch.__call__``.
+
+        Adding the quad term, with no mask, keeps the bits of that call at
+        every x in [+0, 1].  An affine entry has a = 0, so its term is an
+        exact +0, and y + 0 is y unless y is -0, which slope*x + intercept
+        is not, as no family has an intercept of -0.  A quad entry has
+        slope = intercept = 0, so its sum is +0 plus a*x*(1-x), and that
+        product is never -0 there."""
+        out = self.slope.take(k)    # a fresh array: the products run in place
         out *= x
-        out += self.icpt[k]
+        out += self.icpt.take(k)
         if self.quad is not None:
-            quad = self.qa[k]
+            quad = self.qa.take(k)
             quad *= x
             quad *= 1.0 - x
-            np.copyto(out, quad, where=self.quad[k])
+            out += quad
         return out
 
     def slope_at(self, x, k):
@@ -153,9 +160,10 @@ class PiecewiseMap:
     evaluate on scalars and numpy arrays alike.  A point belongs to the
     branch right of every interior joint at or below it, found by one
     bisection for a scalar and one ``searchsorted`` for an array.  An array
-    call then reads per-branch coefficient tables: slope*x + intercept,
-    and a*x*(1-x) on the points of quad branches, the same operations in
-    the same order as ``Branch.__call__``, so both calls agree bit for bit.
+    call then reads per-branch coefficient tables: slope*x + intercept
+    plus a*x*(1-x), each term zero on the branches of the other shape, the
+    same operations in the same order as ``Branch.__call__``, so both calls
+    agree bit for bit.
     """
 
     def __init__(self, branches, domain: Interval, critical: float, label: str):

@@ -53,7 +53,8 @@ _TOL = 1e-9
 
 # u_mu maps whose period-3 scan runs as one array pass: 32 maps scan 38,400
 # points at once in about 1.6 MB of scratch, where a render's 300 columns
-# at once would take about 15 MB
+# at once would take about 15 MB.  Only the scan is chunked: the brackets
+# of every pass are bisected together, in one solve over all the maps
 _TU_CHUNK = 32
 
 
@@ -508,7 +509,8 @@ def classify_attractor(m: PiecewiseMap, nodes) -> str:
 
 def tu_cycles(mus):
     """`tu_cycle` of ``make_tu(mu)`` for each mu, None where it finds no
-    cycle, from one array pass per 32 parameters.
+    cycle, from a scan of 32 parameters a pass and one solve of all the
+    brackets the scan finds.
 
     u_mu is u_1 scaled by mu, so one stack of ``make_tu(1.0)`` holds them
     all and one grid scans them all: 600 points on each lap that touches
@@ -522,14 +524,12 @@ def tu_cycles(mus):
     # the initial 1.0 lets an empty mus through
     for mu in (np.min(mus, initial=1.0), np.max(mus, initial=1.0)):
         make_tu(float(mu))
-    base = make_tu(1.0)
-    out = []
-    for i in range(0, len(mus), _TU_CHUNK):
-        out += _tu_chunk(MapStack(base, mus[i:i + _TU_CHUNK]))
-    return out
+    return _tu_solve(MapStack(make_tu(1.0), mus))
 
 
-def _tu_chunk(stack: MapStack):
+def _tu_solve(stack: MapStack):
+    """Each row's cycle, or None: sign changes of f^3 - id scanned a chunk
+    of rows at a time, then one solve of every bracket they give."""
     sk = tu_skeleton()
     x0 = sk["p1"]
     ref = np.array([sk["p1"], sk["p2"], sk["p3"]])
@@ -539,8 +539,14 @@ def _tu_chunk(stack: MapStack):
     # a positive multiplier (the one that pins trapping regions).
     laps = [b.domain for b in stack.base.branches if b.domain.contains(x0)]
     xs = np.array([np.linspace(lap.lo + 1e-12, lap.hi - 1e-12, 600) for lap in laps])
-    sgn = np.sign(stack.iterate(np.broadcast_to(xs, (len(stack),) + xs.shape), 3) - xs)
-    row, lap, i = np.nonzero(sgn[..., :-1] * sgn[..., 1:] < 0)
+    change = np.empty((len(stack), len(laps), xs.shape[1] - 1), bool)
+    for a in range(0, len(stack), _TU_CHUNK):
+        chunk = stack.take(slice(a, a + _TU_CHUNK))
+        sgn = np.sign(chunk.iterate(np.broadcast_to(xs, (len(chunk),) + xs.shape), 3) - xs)
+        change[a:a + _TU_CHUNK] = sgn[..., :-1] * sgn[..., 1:] < 0
+    # bisect_root stops each bracket on its own, so one solve of every
+    # chunk's brackets gives each the root a solve of its chunk alone would
+    row, lap, i = np.nonzero(change)
     pts, lam, faults = find_cycles(stack.take(row), 3, xs[lap, i], xs[lap, i + 1])
     gap = np.min([np.abs(pts[:, a] - pts[:, b]) for a, b in ((0, 1), (0, 2), (1, 2))], axis=0)
     dist = np.abs(pts[:, :, None] - ref).min(axis=2)
@@ -563,7 +569,7 @@ def _tu_chunk(stack: MapStack):
 def tu_cycle(m: PiecewiseMap) -> Cycle:
     """The continuation of the period-3 cycle for a u_mu map: the batch of
     one of `tu_cycles`, refused when no regular period-3 orbit is found."""
-    cyc, = _tu_chunk(MapStack(m, [1.0]))
+    cyc, = _tu_solve(MapStack(m, [1.0]))
     if cyc is None:
         raise ValueError("no regular period-3 cycle found near the skeleton orbit")
     return cyc

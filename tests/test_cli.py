@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import unimodal
 from unimodal import cli, make_tu, tu_cycle
@@ -252,6 +254,7 @@ class TestBifurcation:
         (["--columns", "-3"], "columns=-3 must be at least 1"),
         (["--family", "tu", "--s-min", "1.0", "--s-max", "1.0378827192537246"],
          "where the peak stays at most 1"),
+        (["--seed", "-1"], "seed=-1 must be a non-negative integer"),
     ])
     def test_bad_input_exits_2_naming_the_limit(self, capsys, tmp_path, args, limit):
         out_path = tmp_path / "diagram.pgm"
@@ -398,6 +401,9 @@ class TestBandCount:
         ({"transient": -1}, "transient=-1 must be at least 0"),
         ({"samples": 0}, "samples=0 must be at least 1"),
         ({"bins": 0}, "bins=0 must be at least 1"),
+        ({"seed": -1}, "seed=-1 must be a non-negative integer"),
+        ({"seed": 1.5}, "seed=1.5 must be a non-negative integer"),
+        ({"seed": np.int64(-7)}, "seed=-7 must be a non-negative integer"),
     ])
     def test_render_refuses_a_setting_past_its_limit(self, kwargs, limit):
         args = {"columns": 4, "transient": 10, "samples": 10, "bins": 16, **kwargs}
@@ -470,6 +476,20 @@ def test_orbit_histogram_chunk_edges_equal_add_at_reference(family, params, tran
     assert np.array_equal(got, reference_histogram(base, scales, transient, samples, 64, 0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**128 - 1))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64)
+@example(2**64 + 1)
+def test_start_draw_is_numpys(seed):
+    # a seed of more than four 32-bit words, the pool's size, mixes the
+    # rest in by a second loop
+    for s in (seed, seed + 2**128):
+        assert cli._start_jitter(s) == np.random.default_rng(s).uniform(-1e-9, 1e-9, 1)[0]
+
+
 def test_orbit_histogram_scratch_stays_under_4mb(traced_peak):
     # a render's 300 tu columns and 4,000 samples: the counts take 0.96 MB,
     # and binning all samples at once would hold about 20 MB more; the
@@ -516,7 +536,9 @@ def _main_exits_0(argv):
 
 
 # scipy is the oracle's alone: a fresh process that never builds chain
-# classes never loads it, and one that does loads it at its first call
+# classes never loads it, and one that does loads it at its first call.
+# numpy.random comes only with scipy: the histograms' start draw is
+# computed without it
 @pytest.mark.parametrize("code,prefix,loaded", [
     ("import unimodal", "scipy.optimize", False),
     ("import unimodal; unimodal.tu_skeleton()", "scipy", False),
@@ -524,7 +546,17 @@ def _main_exits_0(argv):
     (_main_exits_0(["salpha", "--s", "1.5", "--x", "0.3", "--depth", "12"]), "scipy", False),
     (_main_exits_0(BIFURCATION + ["--out", "d.pgm"]), "scipy", False),
     (_main_exits_0(["verify", "--s", "1.8", "--n", "2000"]), "scipy", True),
-], ids=["import", "tu_skeleton", "nodes", "salpha", "bifurcation", "verify"])
+    ("import unimodal", "numpy.random", False),
+    ("import unimodal; unimodal.tu_skeleton()", "numpy.random", False),
+    (_main_exits_0(["nodes", "--family", "tu", "--mu", "1.0"]), "numpy.random", False),
+    (_main_exits_0(["bifurcation", "--family", "tu", "--s-min", "0.99", "--s-max", "1.005",
+                    "--columns", "8", "--out", "d.pgm"]), "numpy.random", False),
+    ("from unimodal.cli import band_count; band_count('tu', 1.0)", "numpy.random", False),
+    ("from unimodal.cli import three_band_window; three_band_window(0.99, 1.005)",
+     "numpy.random", False),
+], ids=["import", "tu_skeleton", "nodes", "salpha", "bifurcation", "verify",
+        "import-random", "tu_skeleton-random", "nodes-tu-random", "bifurcation-tu-random",
+        "band_count-random", "three_band_window-random"])
 def test_scipy_loads_only_where_the_oracle_runs(code, prefix, loaded, tmp_path):
     src = str(Path(unimodal.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -533,3 +565,45 @@ def test_scipy_loads_only_where_the_oracle_runs(code, prefix, loaded, tmp_path):
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert (proc.stdout.splitlines()[-1] != "[]") == loaded
+
+
+def numpy_random_mentions(source: str) -> list:
+    """Each line of source that names numpy.random: ``np.random`` or
+    ``numpy.random`` read as an attribute, or an import of the module or
+    of a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            hit = parts[:2] == ["numpy", "random"] or (
+                parts == ["numpy"] and any(a.name == "random" for a in node.names))
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_names_numpy_random():
+    # the draw it would make is `cli._start_jitter`'s; a stray import
+    # costs every histogram caller the module's 6 MB again
+    mentions = {p.name: numpy_random_mentions(p.read_text())
+                for p in Path(unimodal.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in mentions.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy.random",
+    "import numpy.random as npr",
+    "from numpy import random",
+    "from numpy.random import default_rng",
+    "x = np.random.default_rng(0)",
+    "import numpy\nnumpy.random.seed(1)",
+])
+def test_numpy_random_reader_sees_each_spelling(source):
+    assert numpy_random_mentions(source) != []
