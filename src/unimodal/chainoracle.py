@@ -39,6 +39,7 @@ maps (lam = s <= 2) keep their classes at the default 2h, but a tu map
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,7 +81,11 @@ class GridGraph:
 
 
 def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
-    """The eps-chain graph of m on n cells, its windows in `_index_dtype(n)`."""
+    """The eps-chain graph of m on n cells, its windows in `_index_dtype(n)`.
+
+    Windows that would outgrow physical memory are refused by name, and so
+    are the edges of a graph, in `_expand`, before either is allocated.
+    """
     if n < _MIN_CELLS:
         raise ValueError(f"grid too coarse: n={n} < {_MIN_CELLS}")
     h = 1.0 / n
@@ -90,6 +95,7 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     if m.domain.lo != 0.0 or m.domain.hi != 1.0:
         raise ValueError("oracle grid expects the unit interval domain")
     slack = eps - h
+    _refuse_unless_fits(2 * n, _index_dtype(n), f"window bounds of a grid of n={n} cells")
     jlo = np.empty(n, _index_dtype(n))
     jhi = np.empty(n, jlo.dtype)
     # a block at a time, so no float temporary outgrows one block; clipped
@@ -106,6 +112,19 @@ def _index_dtype(bound: int):
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
+def _refuse_unless_fits(count: int, dtype, what: str) -> None:
+    """Refuse by name an array of count items of dtype that is larger than
+    the machine's physical memory, before any of it is allocated."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return      # no sysconf here: numpy's own MemoryError is the refusal
+    need = count * np.dtype(dtype).itemsize
+    if need > memory:
+        raise ValueError(f"{count} {what} need {need} bytes ({need / 2**30:.1f} GiB), "
+                         f"more than the {memory / 2**30:.1f} GiB of physical memory")
+
+
 def _expand(lo: np.ndarray, hi: np.ndarray):
     """Cells of the windows lo[k] .. hi[k] (empty when lo[k] > hi[k]),
     concatenated in order, and the offsets where each window's cells start,
@@ -118,8 +137,11 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
     ptr = np.zeros(len(lo) + 1, np.int64)
     np.maximum(hi - lo + 1, 0, out=ptr[1:])
     np.cumsum(ptr, out=ptr)
-    ptr = ptr.astype(_index_dtype(max(int(ptr[-1]), int(hi.max(initial=0)))))
-    cells = np.empty(ptr[-1], ptr.dtype)
+    total = int(ptr[-1])
+    dtype = _index_dtype(max(total, int(hi.max(initial=0))))
+    _refuse_unless_fits(total, dtype, "edges")
+    ptr = ptr.astype(dtype)
+    cells = np.empty(total, dtype)
     for a in range(0, len(lo), _BLOCK):
         p = ptr[a:a + _BLOCK + 1]
         # an empty window's shift may not fit, but it is never repeated

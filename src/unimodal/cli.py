@@ -33,12 +33,16 @@ import sys
 
 import numpy as np
 
+# Every collaborator is imported here, at module level, and stays an
+# attribute of this module: the benchmark's tracer wraps them there
+# (cli.chain_classes, cli.conley_graph, cli.tu_cycle and the rest), so this
+# module must not copy the package root's loading on first use.
 from . import backward
 from .chainoracle import ChainClasses, chain_classes, conley_graph, verify_tower
 from .maps import PiecewiseMap, hausdorff, make_logistic, make_tent, make_tu, runs
 from .orbits import critical_orbit, expansion_bound, expansion_time
-# tu_cycle stays a name of this module for the benchmark's tracer, which
-# wraps cli.tu_cycle; the render itself solves all its columns in tu_cycles
+# tu_cycle is imported for the tracer alone, which wraps cli.tu_cycle; the
+# render itself solves all its columns in tu_cycles
 from .structure import (analytic_nodes, classify_attractor, predicted_salpha, tu_cycle,
                         tu_cycles, tu_nodes)
 

@@ -66,6 +66,12 @@ class TestGrid:
         g = build_grid(make_tent(1.5), n, 1e300)
         assert (g.jlo == 0).all() and (g.jhi == n - 1).all()
 
+    def test_windows_larger_than_any_memory_are_refused_by_name(self):
+        # 2e13 int64 window bounds: refused before the first is allocated
+        with pytest.raises(ValueError, match="20000000000000 window bounds of a grid of "
+                                             "n=10000000000000 cells need 160000000000000 bytes"):
+            build_grid(make_tent(1.5), 10**13, 2e-13)
+
     def test_image_cell_always_reached(self):
         # the cell containing f(center) is always an out-neighbor
         m = make_tent(1.9)
@@ -97,6 +103,12 @@ class TestRecurrence:
         centers = (np.flatnonzero(mask) + 0.5) * h
         inside = (centers > 2 * h) & (centers < 0.18 - 2 * h)
         assert not inside.any()
+
+    def test_edges_larger_than_any_memory_are_refused_by_name(self):
+        # every cell's window is the whole grid: 1e12 int64 edges
+        g = build_grid(make_tent(1.5), 10**6, 1.0)
+        with pytest.raises(ValueError, match="1000000000000 edges need 8000000000000 bytes"):
+            recurrent_cells(g)
 
 
 class TestChainClasses:

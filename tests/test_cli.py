@@ -153,6 +153,11 @@ class TestVerify:
         (["--n", "2000", "--eps", "1.2"],
          "eps=0.0006 must be finite and at least 1.5h=0.00075: "
          "below that no edges are certifiable (1.2 cell widths)"),
+        # larger than any machine's memory: refused before allocating
+        (["--n", "1000000", "--eps", "1000000"], "1000000000000 edges need 8000000000000 bytes"),
+        (["--n", "10000000000000"],
+         "20000000000000 window bounds of a grid of n=10000000000000 cells "
+         "need 160000000000000 bytes"),
     ])
     def test_bad_grid_input_exits_2_naming_the_limit(self, capsys, args, limit):
         code, out, err = run(["verify", "--s", "1.8"] + args, capsys)
@@ -540,7 +545,7 @@ def _main_exits_0(argv):
 # numpy.random comes only with scipy: the histograms' start draw is
 # computed without it
 @pytest.mark.parametrize("code,prefix,loaded", [
-    ("import unimodal", "scipy.optimize", False),
+    ("import unimodal", "scipy", False),
     ("import unimodal; unimodal.tu_skeleton()", "scipy", False),
     (_main_exits_0(["nodes", "--s", "1.5"]), "scipy", False),
     (_main_exits_0(["salpha", "--s", "1.5", "--x", "0.3", "--depth", "12"]), "scipy", False),
@@ -554,9 +559,18 @@ def _main_exits_0(argv):
     ("from unimodal.cli import band_count; band_count('tu', 1.0)", "numpy.random", False),
     ("from unimodal.cli import three_band_window; three_band_window(0.99, 1.005)",
      "numpy.random", False),
+    # the root loads each submodule at the first read of one of its names,
+    # and the oracle needs none of the analytic side
+    ("import unimodal; unimodal.tu_skeleton()", "unimodal.structure", False),
+    ("import unimodal; unimodal.tu_skeleton()", "unimodal.chainoracle", False),
+    ("import unimodal; unimodal.tu_skeleton()", "unimodal.backward", False),
+    ("import unimodal; unimodal.tu_skeleton()", "unimodal.cli", False),
+    ("from unimodal import chain_classes", "unimodal.structure", False),
 ], ids=["import", "tu_skeleton", "nodes", "salpha", "bifurcation", "verify",
         "import-random", "tu_skeleton-random", "nodes-tu-random", "bifurcation-tu-random",
-        "band_count-random", "three_band_window-random"])
+        "band_count-random", "three_band_window-random", "tu_skeleton-structure",
+        "tu_skeleton-chainoracle", "tu_skeleton-backward", "tu_skeleton-cli",
+        "chain_classes-structure"])
 def test_scipy_loads_only_where_the_oracle_runs(code, prefix, loaded, tmp_path):
     src = str(Path(unimodal.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -115,13 +115,43 @@ def test_every_exported_name_exists(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+# the names of the package root
+ROOT_NAMES = {
+    "Interval", "PiecewiseMap", "hausdorff", "make_logistic", "make_tent", "make_tu",
+    "merge_intervals", "subtract_intervals", "tu_skeleton",
+    "Cycle", "critical_orbit", "expansion_bound", "expansion_time", "find_cycle", "make_cycle",
+    "CantorCover", "CoreCollection", "LevelPartition", "Node", "PredictedSAlpha",
+    "Renormalization", "TrappingRegion", "analytic_nodes", "cantor_cover", "classify_attractor",
+    "classify_point", "core_of_node", "is_cyclic", "level_partition", "node_depth",
+    "predicted_salpha", "renormalize", "trapping_region", "tu_cycle", "tu_cycles", "tu_nodes",
+    "ChainClasses", "GridGraph", "build_grid", "chain_classes", "conley_graph",
+    "recurrent_cells", "verify_tower",
+    "BackwardTree", "DenseOrbit", "SAlphaEstimate", "build_backward_tree",
+    "dense_backward_orbit", "salpha",
+    "compare_salpha", "match_nodes",
+}
+
+
 def test_root_reexports_only_exported_names():
-    missing = []
-    for node in ast.parse((SRC / "__init__.py").read_text()).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            exported = importlib.import_module(f"unimodal.{node.module}").__all__
-            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    import unimodal
+
+    # the root's table of lazily loaded names: each from a module exporting it
+    missing = [f"{module}.{name}" for module, names in unimodal._EXPORTS.items()
+               for name in names
+               if name not in importlib.import_module(f"unimodal.{module}").__all__]
     assert missing == []
+    # each name resolves, to the object of the module that defines it
+    wrong = [name for name in unimodal.__all__
+             if getattr(unimodal, name) is not getattr(
+                 importlib.import_module(f"unimodal.{unimodal._HOME[name]}"), name)]
+    assert wrong == []
+    # no name listed twice, and today's 51 names
+    assert sum(map(len, unimodal._EXPORTS.values())) == len(ROOT_NAMES) == 51
+    assert set(unimodal.__all__) == ROOT_NAMES
+    star = {}
+    exec("from unimodal import *", star)
+    assert set(star) - {"__builtins__"} == ROOT_NAMES
+    assert ROOT_NAMES <= set(dir(unimodal))
 
 
 def names_in(source: str) -> set:
