@@ -7,6 +7,10 @@ regions, per-region cores, the nested level partition of the domain, the
 s-alpha set each level predicts, finite covers of Cantor repellors, and the
 A2/A5 attractor dichotomy.
 
+The closed forms of a tent map build one tower per call, every level read
+off one critical orbit, and build cascade cycles only down to the level
+they are asked for.
+
 This module only predicts.  `chainoracle` recomputes the tower by brute
 force and `backward` estimates s-alpha sets, strictly independently of it;
 `cli` compares each measurement with its prediction.
@@ -224,34 +228,73 @@ def renormalize(m: PiecewiseMap) -> Renormalization:
 
 
 # ---------------------------------------------------------------------------
-# the node tower
+# the node tower and its level partition
 # ---------------------------------------------------------------------------
 
-def _cascade_point(s: float, k: int) -> float:
-    # One point of the period-2^(k-1) cycle: the interior fixed point of the
-    # (k-1)-fold renormalized model, pulled back through the charts.
-    params = [s]
-    for _ in range(k - 1):
+@dataclass(frozen=True)
+class _Tower:
+    """The tower of T_s: its depth p, the critical orbit c_1 .. c_max(2, 2^p),
+    one point of each cascade cycle N_1 .. N_{p-1}, and the levels of
+    `LevelPartition`, whose level p holds the attractor N_p's intervals."""
+
+    s: float
+    m: PiecewiseMap
+    depth: int
+    orbit: list
+    cascade: list
+    levels: dict
+
+
+def _tower(s: float) -> _Tower:
+    """The tower of T_s, every level's cores read off one critical orbit."""
+    p = node_depth(s)
+    m = make_tent(s)
+    orbit = critical_orbit(m, max(2, 2 ** p))
+    # N_k's point: the interior fixed point of the (k-1)-fold renormalized
+    # model T_{s^(2^(k-1))}, pulled back through the inverse charts
+    # y -> pi - 2 y (pi - 1/2) of T_s, T_{s^2}, ...
+    params, cascade = [s], []
+    for k in range(1, p):
+        y = params[-1] / (params[-1] + 1.0)
+        for a in reversed(params[:-1]):
+            y = a / (a + 1.0) - y / ((a + 1.0) / (a - 1.0))
+        cascade.append(y)
         params.append(params[-1] ** 2)
-    y = params[k - 1] / (params[k - 1] + 1.0)    # fixed point of the deepest model
-    for j in range(k - 1, 0, -1):
-        mprev = params[j - 1]
-        pi_prev = mprev / (mprev + 1.0)
-        scale = (mprev + 1.0) / (mprev - 1.0)    # 1 / (2 (pi_prev - 1/2))
-        y = pi_prev - y / scale
-    return y
+    prev = _cores(orbit, 1)
+    c2, c1 = prev[0]
+    levels = {-1: [Interval(c1, 1.0)] if c1 < 1.0 else [],
+              0: [Interval(0.0, c2)] if c2 > 0.0 else []}
+    for k in range(1, p):
+        cur = sorted(_cores(orbit, 2 ** k), key=lambda iv: iv.lo)
+        levels[k] = subtract_intervals(prev, cur)
+        prev = cur
+    levels[p] = prev if p else [Interval(0.0, 1.0)]
+    return _Tower(s, m, p, orbit, cascade, levels)
 
 
-def _attractor_intervals(m: PiecewiseMap, r: int):
-    """The r core intervals read off the critical orbit, J-order: [c_2r, c_r]
-    first, then [c_{r+j-1}, c_{j-1}].  The one builder of cores: r = 1 gives
-    the core [c_2, c_1], r = 2^(p-1) the attractor's cycle of intervals."""
-    orb = critical_orbit(m, 2 * r)
-    c = lambda k: orb[k - 1]
-    ivs = [Interval(min(c(2 * r), c(r)), max(c(2 * r), c(r)))]
-    for j in range(2, r + 1):
-        ivs.append(Interval(min(c(r + j - 1), c(j - 1)), max(c(r + j - 1), c(j - 1))))
-    return ivs
+def _cores(orbit, r: int):
+    """The r cores read off a critical orbit [c_1, c_2, ...] of at least 2r
+    points, J-order: [c_2r, c_r] first, then [c_{r+j-1}, c_{j-1}]."""
+    c = [orbit[2 * r - 1]] + orbit[: 2 * r]     # c[k] = c_k, c_0 read as c_2r
+    return [Interval(min(c[r + j], c[j]), max(c[r + j], c[j])) for j in range(r)]
+
+
+def _nodes(tower: _Tower, level: int):
+    """N_0 .. N_level, building only the cascade cycles asked for."""
+    s, m, p = tower.s, tower.m, tower.depth
+    nodes = [Node(0, "boundary_fixed", cycle=Cycle((0.0,), 1, s))] if p else []
+    for k in range(1, min(level, p - 1) + 1):
+        try:
+            cyc = make_cycle(m, tower.cascade[k - 1], 2 ** (k - 1))
+        except ValueError as err:
+            # the cycle lands within 1e-12 of c, where no slope can be read off
+            raise ValueError(
+                f"s={s!r} has tower depth {p}: its period-{2 ** (k - 1)} cascade cycle "
+                f"N_{k} lies below float64 resolution at c={m.critical}") from err
+        nodes.append(Node(k, "repelling_cycle", cycle=cyc))
+    if level == p:
+        nodes.append(Node(p, "interval_cycle_attractor", intervals=tuple(tower.levels[p])))
+    return nodes
 
 
 def analytic_nodes(s: float):
@@ -262,39 +305,59 @@ def analytic_nodes(s: float):
     intervals read off the critical orbit.
 
     From depth 8 on a cascade cycle can sit closer to c than float64
-    resolves; such slopes raise a ValueError naming the depth.
+    resolves; such slopes raise a ValueError naming the depth and the node.
     """
-    p = node_depth(s)
-    m = make_tent(s)
-    if p == 0:
-        return [Node(0, "interval_cycle_attractor", intervals=(Interval(0.0, 1.0),))]
-    nodes = [Node(0, "boundary_fixed", cycle=Cycle((0.0,), 1, s))]
-    for k in range(1, p):
-        x = _cascade_point(s, k)
-        try:
-            cyc = make_cycle(m, x, 2 ** (k - 1))
-        except ValueError as err:
-            # the cycle lands within 1e-12 of c, where no slope can be read off
-            raise ValueError(
-                f"s={s!r} has tower depth {p}: its period-{2 ** (k - 1)} cascade cycle "
-                f"N_{k} lies below float64 resolution at c={m.critical}") from err
-        nodes.append(Node(k, "repelling_cycle", cycle=cyc))
-    ivs = _attractor_intervals(m, 2 ** (p - 1))
-    ivs = tuple(sorted(ivs, key=lambda iv: iv.lo))
-    nodes.append(Node(p, "interval_cycle_attractor", intervals=ivs))
-    return nodes
+    tower = _tower(s)
+    return _nodes(tower, tower.depth)
+
+
+def level_partition(s: float) -> LevelPartition:
+    """U_{-1} = [c_1, 1], U_0 = [0, c_2], and for 1 <= k < p the core union
+    of level k-1 minus the open interiors of the 2^k cores of level k; U_p
+    is the attractor's union of cores.  The level-0 core is [c_2, c_1].
+    """
+    tower = _tower(s)
+    return LevelPartition(s, tower.depth, tower.levels)
+
+
+def _level(s: float, x: float):
+    """The tower of T_s, and the deepest of its levels holding x."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x={x} outside [0, 1]")
+    tower = _tower(s)
+    return tower, max(k for k, ivs in tower.levels.items() if any(iv.contains(x) for iv in ivs))
+
+
+def classify_point(s: float, x: float) -> int:
+    """Level of x: the deepest level of `level_partition(s)` whose stored
+    closed hulls hold x.
+
+    Taking the deepest keeps the cores closed, and makes U_0 right-open and
+    U_{-1} left-open: c_2 and c_1 lie in the level-0 core, so in level 1 or
+    deeper.
+    """
+    return _level(s, x)[1]
+
+
+def predicted_salpha(s: float, x: float) -> PredictedSAlpha:
+    """Closed-form s-alpha set of x under the tent map T_s: the union of
+    the supports of all nodes at or above the level of x.
+
+    Points above c_1 have no preimages at all, hence an empty set.  Only
+    N_0 .. N_level are built, so a point is refused only when one of those
+    lies below float64 resolution.
+    """
+    tower, level = _level(s, x)
+    if level == -1:
+        return PredictedSAlpha(x, -1, (),
+                               "x exceeds the image of the map: no backward orbits exist")
+    ivs = sorted((iv for nd in _nodes(tower, level) for iv in nd.support()), key=lambda iv: iv.lo)
+    return PredictedSAlpha(x, level, tuple(ivs))
 
 
 # ---------------------------------------------------------------------------
 # trapping regions and cores
 # ---------------------------------------------------------------------------
-
-def _component_containing(pieces, x: float) -> Interval:
-    for iv in pieces:
-        if iv.contains(x, tol=_TOL):
-            return iv
-    raise ValueError(f"no preimage component contains {x}")
-
 
 def trapping_region(m: PiecewiseMap, node: Node) -> TrappingRegion:
     """The maximal trapping region pinned to a repelling node.
@@ -319,13 +382,14 @@ def trapping_region(m: PiecewiseMap, node: Node) -> TrappingRegion:
     gamma_seq = [p1]
     for _ in range(r - 1):
         gamma_seq.append(m(gamma_seq[-1]))
-    ivs = [None] * r
-    ivs[0] = j1
-    nxt = j1
+    ivs = [j1] * r
     for i in range(r - 1, 0, -1):
-        pieces = m.interval_preimage(nxt.lo, nxt.hi)
-        ivs[i] = _component_containing(pieces, gamma_seq[i])
-        nxt = ivs[i]
+        nxt = ivs[(i + 1) % r]
+        hits = [iv for iv in m.interval_preimage(nxt.lo, nxt.hi)
+                if iv.contains(gamma_seq[i], tol=_TOL)]
+        if not hits:
+            raise ValueError(f"no preimage component contains {gamma_seq[i]}")
+        ivs[i] = hits[0]
     for i in range(r):
         lo, hi = m.interval_image(ivs[i].lo, ivs[i].hi)
         tgt = ivs[(i + 1) % r]
@@ -359,74 +423,16 @@ def core_of_node(m: PiecewiseMap, node: Node, region: Optional[TrappingRegion] =
     """
     if node.kind == "interval_cycle_attractor":
         if node.index == 0:
-            return CoreCollection(tuple(_attractor_intervals(m, 1)), False)
+            return CoreCollection(tuple(_cores(critical_orbit(m, 2), 1)), False)
         raise ValueError("core_of_node: the attractor is itself a union of cores")
     if region is None:
         region = trapping_region(m, node)
     r = region.period
-    cores = _attractor_intervals(m, r)
+    cores = _cores(critical_orbit(m, 2 * r), r)
     for iv, j in zip(cores, region.intervals):
         if iv.lo < j.lo - _TOL or iv.hi > j.hi + _TOL:
             raise ValueError("core escapes its region interval")
     return CoreCollection(tuple(cores), True)
-
-
-# ---------------------------------------------------------------------------
-# level partition
-# ---------------------------------------------------------------------------
-
-def level_partition(s: float) -> LevelPartition:
-    """U_{-1} = [c_1, 1], U_0 = [0, c_2], and for 1 <= k < p the core union
-    of level k-1 minus the open interiors of the 2^k cores of level k; U_p
-    is the attractor's union of cores.  The level-0 core is [c_2, c_1].
-    """
-    p = node_depth(s)
-    m = make_tent(s)
-    prev = _attractor_intervals(m, 1)
-    c2, c1 = prev[0]
-    levels = {-1: [Interval(c1, 1.0)] if c1 < 1.0 else [],
-              0: [Interval(0.0, c2)] if c2 > 0.0 else []}
-    if p == 0:
-        levels[0] = [Interval(0.0, 1.0)]
-        return LevelPartition(s, p, levels)
-    for k in range(1, p):
-        cur = sorted(_attractor_intervals(m, 2 ** k), key=lambda iv: iv.lo)
-        levels[k] = subtract_intervals(prev, cur)
-        prev = cur
-    levels[p] = prev
-    return LevelPartition(s, p, levels)
-
-
-def classify_point(s: float, x: float) -> int:
-    """Level of x: the deepest level of `level_partition(s)` whose stored
-    closed hulls hold x.
-
-    Taking the deepest keeps the cores closed, and makes U_0 right-open and
-    U_{-1} left-open: c_2 and c_1 lie in the level-0 core, so in level 1 or
-    deeper.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    return max(k for k, ivs in level_partition(s).levels.items()
-               if any(iv.contains(x) for iv in ivs))
-
-
-def predicted_salpha(s: float, x: float) -> PredictedSAlpha:
-    """Closed-form s-alpha set of x under the tent map T_s: the union of
-    the supports of all nodes at or above the level of x.
-
-    Points above c_1 have no preimages at all, hence an empty set.
-    """
-    level = classify_point(s, x)
-    if level == -1:
-        return PredictedSAlpha(x, -1, (),
-                               "x exceeds the image of the map: no backward orbits exist")
-    nodes = analytic_nodes(s)
-    ivs = []
-    for nd in nodes[: level + 1]:
-        ivs.extend(nd.support())
-    ivs.sort(key=lambda iv: iv.lo)
-    return PredictedSAlpha(x, level, tuple(ivs))
 
 
 # ---------------------------------------------------------------------------
@@ -452,31 +458,24 @@ def cantor_cover(m: PiecewiseMap, tr: TrappingRegion, depth: int) -> CantorCover
         raise ValueError("region period disagrees with its cycle: no Cantor repellor")
     if tr.j1.lo <= m.domain.lo + _TOL and tr.j1.hi >= m.domain.hi - _TOL:
         raise ValueError("J_1 is the whole domain: nothing is left over")
-    base = _attractor_intervals(m, 1)
+    base = _cores(critical_orbit(m, 2), 1)
     layer = [tr.j1]
     holes = list(layer)
     for _ in range(depth):
-        nxt = []
-        for iv in layer:
-            nxt.extend(m.interval_preimage(iv.lo, iv.hi))
-        layer = merge_intervals(nxt)
+        layer = merge_intervals([q for iv in layer for q in m.interval_preimage(iv.lo, iv.hi)])
         holes.extend(layer)
-    out = subtract_intervals(base, holes)
-    return CantorCover(depth, tuple(out))
+    return CantorCover(depth, tuple(subtract_intervals(base, holes)))
 
 
 def _attractor_region(m: PiecewiseMap, nodes) -> TrappingRegion:
-    att = nodes[-1]
-    if att.kind != "interval_cycle_attractor":
+    if nodes[-1].kind != "interval_cycle_attractor":
         raise ValueError("last node is not the attractor")
     if len(nodes) == 1:
-        ivs = (Interval(m.domain.lo, m.domain.hi),)
-        region = TrappingRegion(ivs, 1, False, None)
-        return TrappingRegion(ivs, 1, is_cyclic(m, region), None)
-    prev = nodes[-2]
-    cores = core_of_node(m, prev)
-    region = TrappingRegion(cores.intervals, len(cores.intervals), False, prev.cycle)
-    return TrappingRegion(cores.intervals, region.period, is_cyclic(m, region), prev.cycle)
+        ivs, gamma = (Interval(m.domain.lo, m.domain.hi),), None
+    else:
+        ivs, gamma = core_of_node(m, nodes[-2]).intervals, nodes[-2].cycle
+    region = TrappingRegion(ivs, len(ivs), False, gamma)
+    return TrappingRegion(ivs, len(ivs), is_cyclic(m, region), gamma)
 
 
 def classify_attractor(m: PiecewiseMap, nodes) -> str:
@@ -589,7 +588,7 @@ def tu_nodes(m: PiecewiseMap):
     try:
         region = trapping_region(m, n1)
     except ValueError:
-        hull = tuple(_attractor_intervals(m, 1))
+        hull = tuple(_cores(critical_orbit(m, 2), 1))
         return [n0, Node(1, "interval_cycle_attractor", intervals=hull)]
     cores = core_of_node(m, n1, region)
     ivs = tuple(sorted(cores.intervals, key=lambda iv: iv.lo))

@@ -18,7 +18,9 @@ from unimodal import (
     make_tent,
     make_tu,
     node_depth,
+    predicted_salpha,
     renormalize,
+    subtract_intervals,
     trapping_region,
     make_cycle,
     tu_cycle,
@@ -27,6 +29,7 @@ from unimodal import (
     tu_skeleton,
 )
 from unimodal.maps import TU_BASE_MU, bisect_root
+from unimodal import structure
 from unimodal.structure import tent_parameter
 
 # tower depth for a selection of slopes, worked out from log2(log2 s)
@@ -315,6 +318,122 @@ class TestClassifyPoint:
             for iv in ivs:
                 mid = 0.5 * (iv.lo + iv.hi)
                 assert classify_point(s, mid) == level
+
+
+# slopes past float64's reach, with the partition's piece count per level
+# and the cascade cycle analytic_nodes refuses: (s, depth, counts, period, node)
+DEEP = [
+    (1.005, 8, [1, 1, 1, 2, 4, 8, 16, 32, 64, 128], 64, 7),
+    (2.0 ** (2.0 ** -7.5), 8, [1, 1, 1, 2, 4, 8, 16, 32, 64, 128], 32, 6),
+    (1.001, 10, [1, 1, 1, 2, 4, 8, 16, 32, 64, 64, 64, 512], 16, 5),
+    (1.0001, 13, [1, 1, 1, 2, 4, 8, 16] + [16] * 7 + [4096], 4, 3),
+]
+
+
+def partition_by_rungs(s):
+    """Reference levels built rung by rung, a fresh critical orbit of length
+    2r for each r = 1, 2, ..., 2^(p-1): sorted cores [c_{r+i}, c_i], c_0
+    read as c_2r, each rung's core union minus the next rung's cores."""
+    p = node_depth(s)
+    m = make_tent(s)
+
+    def cores(r):
+        c = [None] + critical_orbit(m, 2 * r)
+        ends = [(c[2 * r], c[r])] + [(c[r + i], c[i]) for i in range(1, r)]
+        return sorted((Interval(min(e), max(e)) for e in ends), key=lambda iv: iv.lo)
+
+    prev = cores(1)
+    c2, c1 = prev[0]
+    levels = {-1: [Interval(c1, 1.0)], 0: [Interval(0.0, c2)]}
+    for k in range(1, p):
+        cur = cores(2 ** k)
+        levels[k] = subtract_intervals(prev, cur)
+        prev = cur
+    levels[p] = prev
+    return levels
+
+
+class TestDeepTowers:
+    """Past depth 8 some cascade cycle lies below float64 resolution.  The
+    partition and the classifier need no cycle, so they still answer; the
+    full tower is refused, naming the depth and the node."""
+
+    @pytest.mark.parametrize("s, p, counts, period, node", DEEP)
+    def test_partition_and_classifier_still_answer(self, s, p, counts, period, node):
+        lp = level_partition(s)
+        assert lp.depth == node_depth(s) == p
+        assert [len(lp.levels[k]) for k in range(-1, p + 1)] == counts
+        assert lp.levels == partition_by_rungs(s)
+        xs = [i / 40 for i in range(41)]
+        levels = [0] * 20 + [p] + [-1] * 20
+        assert [classify_point(s, x) for x in xs] == levels
+        assert [core_walk_level(s, x) for x in xs] == levels
+
+    @pytest.mark.parametrize("s, p, counts, period, node", DEEP)
+    def test_full_tower_is_refused_by_name(self, s, p, counts, period, node):
+        msg = (f"s={s!r} has tower depth {p}: its period-{period} cascade cycle N_{node} "
+               f"lies below float64 resolution at c=0.5")
+        with pytest.raises(ValueError) as err:
+            analytic_nodes(s)
+        assert str(err.value) == msg
+
+    @pytest.mark.parametrize("s, resolved, node", [
+        (1.005, range(7), 7),                      # N_1 .. N_6 resolve
+        (2.0 ** (2.0 ** -7.5), range(6), 6),       # N_1 .. N_5 resolve
+    ])
+    def test_salpha_needs_only_the_nodes_of_its_level(self, s, resolved, node):
+        # the set of a level-k point below the attractor is N_0 .. N_k: 2^k
+        # cycle points, found though a deeper node is out of reach
+        lp = level_partition(s)
+        assert predicted_salpha(s, 0.3).intervals == (Interval(0.0, 0.0),)
+        for k in resolved:
+            x = 0.5 * (lp.levels[k][0].lo + lp.levels[k][0].hi)
+            pred = predicted_salpha(s, x)
+            assert pred.level == k
+            assert len(pred.intervals) == 2 ** k
+            assert all(iv.lo == iv.hi for iv in pred.intervals)
+        # a point that needs the unresolved node gets the tower's refusal
+        for k in range(node, lp.depth + 1):
+            x = 0.5 * (lp.levels[k][0].lo + lp.levels[k][0].hi)
+            with pytest.raises(ValueError, match=f"cascade cycle N_{node} lies below float64"):
+                predicted_salpha(s, x)
+
+
+class TestOneTowerPerCall:
+    """Each closed form of a tent map reads one critical orbit, the tower's."""
+
+    @pytest.fixture
+    def orbits(self, monkeypatch):
+        calls = []
+        orbit = structure.critical_orbit
+
+        def spy(m, n):
+            calls.append(n)
+            return orbit(m, n)
+
+        monkeypatch.setattr(structure, "critical_orbit", spy)
+        return calls
+
+    @pytest.mark.parametrize("s", [2.0, 1.8, 1.3, 1.05, 1.01])
+    @pytest.mark.parametrize("call", [
+        lambda s: analytic_nodes(s),
+        lambda s: level_partition(s),
+        lambda s: classify_point(s, 0.5),
+        lambda s: predicted_salpha(s, 0.5),
+        lambda s: predicted_salpha(s, 0.3),
+        lambda s: predicted_salpha(s, 0.99),
+    ], ids=["nodes", "partition", "classify", "salpha_c", "salpha_0.3", "salpha_0.99"])
+    def test_one_orbit(self, orbits, call, s):
+        call(s)
+        assert orbits == [max(2, 2 ** node_depth(s))]
+
+    def test_verify_reads_three_orbits(self, orbits, capsys):
+        from unimodal.cli import main
+
+        main(["verify", "--s", "1.05", "--n", "20000"])
+        capsys.readouterr()
+        # the tower once, and once for each of the two predicted s-alpha sets
+        assert orbits == [16, 16, 16]
 
 
 def interior_fixed_point(m):
