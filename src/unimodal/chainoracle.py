@@ -6,12 +6,14 @@ never sees the closed-form tower of `structure`; `cli` pairs the two.  The
 domain is cut into n cells, an edge i -> j is drawn when every point of
 cell j lies within eps of the image of cell i's center, and the
 chain-recurrent set, its classes, and the reachability order between them
-are read off the directed graph.  The strong component of one pivot cell
-is peeled by a forward search over window hulls and a backward
-breadth-first search from scipy; scipy's strong components label the
-other cells, and everything else is plain array work.  scipy loads at the
-first oracle call, not on import: it was 230 of the 350 ms of
-`import unimodal` on 2 cores, and most callers never run the oracle.
+are read off the directed graph.  No edge list is ever made: every
+search runs on the windows themselves, forward on the windows and
+backward on the reversed windows, which on each lap of the map are one
+run of cells too (Kalies, Mischaikow & VanderVorst 2005 read the same
+graph off boxes).  The strong component of one pivot cell is peeled
+first; the other cells are trimmed on runs and split by forward-backward
+search (Fleischer, Hendrickson & Pinar 2000), and the classes are glued
+by a union-find on arrays; numpy is all it needs.
 
 The chain-recurrent set is the intersection of the eps-chain-recurrent
 sets over all eps > 0, and one eps is enough to compute it on a fixed
@@ -38,6 +40,7 @@ maps (lam = s <= 2) keep their classes at the default 2h, but a tu map
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -58,7 +61,9 @@ __all__ = [
 ]
 
 _MIN_CELLS = 100
+_INT32_MAX = np.iinfo(np.int32).max
 _BLOCK = 1 << 15     # windows or cells handled at once
+_STEP = 1 << 13      # frontier cells a search step expands at once
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,8 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     """The eps-chain graph of m on n cells, its windows in `_index_dtype(n)`.
 
     Windows that would outgrow physical memory are refused by name, and so
-    are the edges of a graph, in `_expand`, before either is allocated.
+    is any expansion of windows into cells, in `_expand`, before either is
+    allocated.
     """
     if n < _MIN_CELLS:
         raise ValueError(f"grid too coarse: n={n} < {_MIN_CELLS}")
@@ -109,15 +115,24 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
 
 def _index_dtype(bound: int):
     """int32 while every index and offset up to bound fits in it, else int64."""
-    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+    return np.int32 if bound <= _INT32_MAX else np.int64
+
+
+@functools.cache
+def _physical_memory() -> Optional[int]:
+    """Bytes of the machine's physical memory, None where sysconf cannot
+    tell; asked once, since each search step checks against it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _refuse_unless_fits(count: int, dtype, what: str) -> None:
     """Refuse by name an array of count items of dtype that is larger than
     the machine's physical memory, before any of it is allocated."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
+    memory = _physical_memory()
+    if memory is None:
         return      # no sysconf here: numpy's own MemoryError is the refusal
     need = count * np.dtype(dtype).itemsize
     if need > memory:
@@ -128,18 +143,17 @@ def _refuse_unless_fits(count: int, dtype, what: str) -> None:
 def _expand(lo: np.ndarray, hi: np.ndarray):
     """Cells of the windows lo[k] .. hi[k] (empty when lo[k] > hi[k]),
     concatenated in order, and the offsets where each window's cells start,
-    with the total appended: CSR indices and row pointers, in the
-    `_index_dtype` of their largest value.
+    with the total appended, in the `_index_dtype` of their largest value.
 
     Slot p of window k holds cell lo[k] + p - ptr[k].  The windows are
-    written _BLOCK at a time, so no scratch outgrows one block's edges.
+    written _BLOCK at a time, so no scratch outgrows one block's cells.
     """
     ptr = np.zeros(len(lo) + 1, np.int64)
     np.maximum(hi - lo + 1, 0, out=ptr[1:])
     np.cumsum(ptr, out=ptr)
     total = int(ptr[-1])
     dtype = _index_dtype(max(total, int(hi.max(initial=0))))
-    _refuse_unless_fits(total, dtype, "edges")
+    _refuse_unless_fits(total, dtype, "cells of windows")
     ptr = ptr.astype(dtype)
     cells = np.empty(total, dtype)
     for a in range(0, len(lo), _BLOCK):
@@ -151,86 +165,399 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
     return cells, ptr
 
 
-def _induced(g: GridGraph, keep: np.ndarray):
-    """The subgraph of g induced on the cells keep marks, as a CSR matrix
-    with the kept cells numbered by rank.
-
-    The kept cells of a window have consecutive ranks, so each kept row is
-    still one window, of ranks, and `_expand` writes its edges.
+def _pieces(g: GridGraph):
+    """The laps of the windows: each maximal run of cells with non-empty
+    windows over which jlo and jhi both rise or both fall, as (first,
+    last, rising) triples; two on a unimodal grid.  Neighbouring cells are
+    compared _BLOCK pairs at a time.
     """
-    # here, not at module top: scipy was 230 of the 350 ms of `import unimodal`
-    from scipy.sparse import csr_matrix
-    # kept cells before each cell: a window [lo, hi] holds the ranks
-    # before[lo] .. before[hi + 1] - 1
-    before = np.zeros(len(keep) + 1, g.jlo.dtype)
-    np.cumsum(keep, dtype=before.dtype, out=before[1:])
-    lo = np.take(before, g.jlo[keep])
-    hi = g.jhi[keep]
-    hi += 1
-    hi = np.take(before, hi)
-    hi -= 1
-    del before
-    idx, ptr = _expand(lo, hi)
-    # csgraph reads only the structure, as float64: a zero-stride 1.0 is
-    # that dtype already, so neither side copies the edges
-    return csr_matrix((np.broadcast_to(1.0, len(idx)), idx, ptr), shape=(len(lo), len(lo)))
+    lo, hi, n = g.jlo, g.jhi, g.n
+    cuts = [np.zeros(0, np.int64)]
+    prev = None         # whether the last pair that moved rose
+    for a in range(0, n - 1, _BLOCK):
+        l1, h1 = lo[a + 1:a + _BLOCK + 1], hi[a + 1:a + _BLOCK + 1]
+        l0, h0 = lo[a:a + len(l1)], hi[a:a + len(l1)]
+        up = (l1 >= l0) & (h1 >= h0)
+        down = (l1 <= l0) & (h1 <= h0)
+        cut = ~(up | down) | (l0 > h0) | (l1 > h1)
+        moved = np.flatnonzero((up != down) & ~cut)
+        rising = up[moved]
+        turn = np.flatnonzero(np.diff(rising, prepend=rising[:1] if prev is None else prev))
+        cut[moved[turn]] = True
+        if len(moved):
+            prev = rising[-1:]
+        cuts.append(np.flatnonzero(cut) + a)
+    cut = np.concatenate(cuts)
+    first, last = np.r_[0, cut + 1], np.r_[cut, n - 1]
+    keep = lo[first] <= hi[first]       # an empty window is a piece of one cell
+    first, last = first[keep], last[keep]
+    rising = ~((lo[last] < lo[first]) | (hi[last] < hi[first]))
+    return list(zip(first.tolist(), last.tolist(), rising.tolist()))
+
+
+def _pairs(first: np.ndarray, count: np.ndarray):
+    """Index pairs (k, first[k] + p) for p < count[k], in order of k and p."""
+    np.maximum(count, 0, out=count)
+    k = np.repeat(np.arange(len(first)), count)
+    return k, np.arange(len(k)) + np.repeat(first - (np.cumsum(count) - count), count)
+
+
+def _meet(alo, ahi, blo, bhi):
+    """The cells of both run sets, as runs; each set is sorted runs that
+    neither overlap nor touch, and so is the result."""
+    first = np.searchsorted(bhi, alo)
+    a, b = _pairs(first, np.searchsorted(blo, ahi, side="right") - first)
+    return np.maximum(alo[a], blo[b]), np.minimum(ahi[a], bhi[b])
+
+
+def _mask_runs(mask: np.ndarray):
+    """The runs of the cells the mask marks, as first and last cells."""
+    bounds = np.concatenate(([0], np.flatnonzero(mask[1:] != mask[:-1]) + 1, [len(mask)]))
+    first = bounds[:-1]
+    keep = mask[first]
+    return first[keep], bounds[1:][keep] - 1
+
+
+def _reversed(g: GridGraph, pieces):
+    """The reversed windows: per piece, the first and last of its cells whose
+    windows hold each cell j, as two arrays over j (empty where first >
+    last).  On a piece jlo and jhi are monotone, so those cells are one
+    run.  Read in rising order, the piece's windows that end before j
+    number the first of them and the windows that start at or before j
+    one past the last, and both counts are np.repeat of the piece's
+    sorted window ends.
+    """
+    n, dtype = g.n, g.jlo.dtype
+    first, last = [], []
+    for p0, p1, rising in pieces:
+        jlo, jhi = g.jlo[p0:p1 + 1], g.jhi[p0:p1 + 1]
+        if not rising:
+            jlo, jhi = jlo[::-1], jhi[::-1]
+        count = np.arange(p1 - p0 + 2, dtype=dtype)
+        before = np.repeat(count, np.diff(jhi, prepend=-1, append=n - 1))
+        upto = np.repeat(count, np.diff(jlo, prepend=0, append=n))
+        del count
+        if rising:
+            before += p0
+            upto += p0 - 1
+            first.append(before)
+            last.append(upto)
+        else:
+            np.subtract(p1 + 1, upto, out=upto)
+            np.subtract(p1, before, out=before)
+            first.append(upto)
+            last.append(before)
+    return first, last
+
+
+def _search(lo, hi, seen: np.ndarray, inside: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mark in seen every cell reachable from the cells it marks, through
+    cells that inside marks (any cell when None); return seen.  Cell i
+    steps to the cells lo[k][i] .. hi[k][i] of each k.
+
+    The search runs breadth first.  A run of windows that overlap or
+    touch, with no gap, covers exactly its hull, so the merged hulls
+    (`_hulls`) of the sorted frontier's windows expand once into the next
+    sorted frontier, and no expanded cell is sorted.
+    """
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        nxt = _expand(*_hulls(*(w[0][frontier] if len(w) == 1
+                                else np.concatenate([v[frontier] for v in w]) for w in (lo, hi))))[0]
+        keep = ~seen[nxt]
+        if inside is not None:
+            keep &= inside[nxt]
+        frontier = nxt[keep]
+        del nxt, keep
+        seen[frontier] = True
+    return seen
+
+
+def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Mark in seen every cell that inside marks and that reaches a cell
+    seen marks through such cells; return seen.
+
+    The search runs breadth first over the reversed windows (`_reversed`),
+    _STEP frontier cells at a time.  For a sorted block of the frontier a
+    piece's reversed windows are monotone, so each is cut at the end of
+    the ones before it, and the pieces' windows, read in rising order one
+    piece after the other, expand into the block's new cells in order with
+    no cell twice: a sorted block of the next frontier.
+    """
+    order = [slice(None) if rising else slice(None, None, -1) for _, _, rising in pieces]
+    frontier = [np.flatnonzero(seen)]
+    while frontier:
+        found = []
+        while frontier:
+            # each block is let go once searched
+            block = frontier.pop()
+            # the cells a piece has given so far end at edge: below it on a
+            # rising piece, whose windows rise from step to step, above it
+            # on a falling one
+            edge = [-1 if rising else p1 + 1 for _, p1, rising in pieces]
+            for a in range(0, len(block), _STEP):
+                f = block[a:a + _STEP]
+                windows = []
+                for i, (first, last, o) in enumerate(zip(*rev, order)):
+                    lo, hi = first[f[o]], last[f[o]]
+                    keep = lo <= hi
+                    lo, hi = lo[keep], hi[keep]
+                    if len(lo) and pieces[i][2]:
+                        np.maximum(lo, edge[i] + 1, out=lo)
+                        edge[i] = max(edge[i], int(hi[-1]))
+                    elif len(lo):
+                        np.minimum(hi, edge[i] - 1, out=hi)
+                        edge[i] = min(edge[i], int(lo[0]))
+                    np.maximum(lo[1:], hi[:-1] + 1, out=lo[1:])
+                    windows.append((lo, hi))
+                cells = _expand(*(np.concatenate(w) for w in zip(*windows)))[0]
+                cells = cells[inside[cells] & ~seen[cells]]
+                seen[cells] = True
+                if len(cells):
+                    found.append(cells)
+        frontier = found
+    return seen
+
+
+def _cover(lo, hi):
+    """The cells that at least one and at least two of the windows lo[k] ..
+    hi[k] hold, as two run sets: a sweep over the windows' sorted ends."""
+    keep = lo <= hi
+    at = np.concatenate((lo[keep], hi[keep] + 1))
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    depth = np.cumsum(np.where(order < len(at) // 2, 1, -1))
+    # depth[i] windows hold the cells at[i] .. at[i + 1] - 1
+    last = np.ones(len(at), bool)
+    np.not_equal(at[1:], at[:-1], out=last[:-1])
+    at, depth = at[last], depth[last]
+    out = []
+    for k in (1, 2):
+        edge = np.diff((depth >= k).view(np.int8), prepend=np.int8(0))
+        out.append((at[edge == 1], at[edge == -1] - 1))
+    return out
+
+
+def _first_in(lo, hi, x):
+    """The first cell at or after each x in the run set lo, hi, else the
+    largest int64."""
+    k = np.searchsorted(hi, x)
+    found = k < len(hi)
+    return np.where(found, np.maximum(x, lo[np.minimum(k, len(hi) - 1)] if len(hi) else x),
+                    np.iinfo(np.int64).max)
+
+
+def _last_in(lo, hi, y):
+    """The last cell at or before each y in the run set lo, hi, else -1."""
+    k = np.searchsorted(lo, y, side="right") - 1
+    return np.where(k >= 0, np.minimum(y, hi[np.maximum(k, 0)] if len(hi) else y), -1)
+
+
+def _first_other(a, b, own_lo, own_hi, one, two):
+    """The first cell of each run a .. b that the windows of the other runs
+    hold, else b + 1.  one and two are the run sets of the cells that at
+    least one and at least two of all the runs' windows hold, the run's
+    own window own_lo .. own_hi among them."""
+    c1 = _first_in(*one, a)
+    c2 = _first_in(*two, np.maximum(a, own_lo))
+    return np.minimum.reduce([np.where(c1 < own_lo, c1, b + 1), np.where(c2 <= own_hi, c2, b + 1),
+                              _first_in(*one, np.maximum(a, own_hi + 1)), b + 1])
+
+
+def _last_other(a, b, own_lo, own_hi, one, two):
+    """The last cell of each run a .. b that the windows of the other runs
+    hold, else a - 1; as `_first_other`."""
+    c1 = _last_in(*one, b)
+    c2 = _last_in(*two, np.minimum(b, own_hi))
+    return np.maximum.reduce([np.where(c1 > own_hi, c1, a - 1), np.where(c2 >= own_lo, c2, a - 1),
+                              _last_in(*one, np.minimum(b, own_lo - 1)), a - 1])
+
+
+def _trim(g: GridGraph, pieces, rev, lo, hi):
+    """Trim the run set lo, hi on runs, round by round, until it holds at
+    most a 32nd of the grid or a round drops no cell; return what is left,
+    as runs.
+
+    Every cell dropped has, in what was left when it was dropped, no
+    successor or no predecessor other than itself, so it lies outside the
+    largest subset whose cells all keep both: it is a strong component of
+    its own, and its one-cell label is final.  Each round cuts the runs at
+    the pieces and takes the cells a run's windows hold to be their hull,
+    which holds them all (and, past a gap between windows, a few more):
+    - it keeps the cells that lie in the image and in the preimage of the
+      run set;
+    - it eats each run on a rising piece from both ends at once.  Its
+      first cells die up to the first one that another run's image holds
+      or that a later cell of its piece holds (above); its last cells die
+      down to the last one whose window meets another run or holds an
+      earlier cell (below).  These are the chains of transient cells that
+      leave a repelling fixed point, which would take a round a window.
+    A round costs a few hundred numpy calls whatever the runs hold, so the
+    last cells are left to `_components`, which trims them cell by cell;
+    its arrays take some tens of bytes a cell it holds, so at a 32nd of
+    the grid they stay within a few bytes a grid cell.
+    """
+    floor = g.n // 32
+    size = int(np.sum(hi - lo + 1))
+    if size <= floor:
+        return lo, hi
+    first, last = rev
+    starts, ends, rising = (np.array(v) for v in zip(*pieces))
+    # the run set's cells on rising pieces that a later cell of their piece
+    # holds (above), and whose windows hold an earlier cell (below), found
+    # _BLOCK cells at a time
+    above, below = [np.zeros(0, lo.dtype)], [np.zeros(0, lo.dtype)]
+    for i, (p0, p1, up) in enumerate(pieces):
+        for a in range(p0, p1 + 1, _BLOCK) if up else ():
+            c = np.arange(a, min(a + _BLOCK, p1 + 1), dtype=lo.dtype)
+            k = np.searchsorted(lo, c, side="right") - 1
+            c = c[(k >= 0) & (c <= hi[np.maximum(k, 0)])]
+            above.append(c[last[i][c] > c])
+            below.append(c[g.jlo[c] < c])
+    above, below = np.concatenate(above), np.concatenate(below)
+    while size > floor:
+        # each run cut at the pieces: cells a .. b of piece p
+        f0 = np.searchsorted(ends, lo)
+        k, p = _pairs(f0, np.searchsorted(starts, hi, side="right") - f0)
+        a, b = np.maximum(lo[k], starts[p]), np.minimum(hi[k], ends[p])
+        up = rising[p]
+        img_lo, img_hi = np.where(up, g.jlo[a], g.jlo[b]), np.where(up, g.jhi[b], g.jhi[a])
+        # its preimage on each piece, its own piece's in row p
+        pre_lo = np.stack([f[a] if r else f[b] for f, r in zip(first, rising)])
+        pre_hi = np.stack([e[b] if r else e[a] for e, r in zip(last, rising)])
+        img, pre = _cover(img_lo, img_hi), _cover(pre_lo.ravel(), pre_hi.ravel())
+        nlo, nhi = _meet(*_meet(lo, hi, *img[0]), *pre[0])
+        # a run on a rising piece is eaten from both ends: up to the first
+        # cell that another run's image holds, and down to the last whose
+        # window meets another run
+        a, b, j = a.astype(np.int64), b.astype(np.int64), np.flatnonzero(up)
+        a[j] = np.minimum(_first_other(a[j], b[j], img_lo[j], img_hi[j], *img),
+                          _first_in(above, above, a[j]))
+        b[j] = np.maximum(_last_other(a[j], b[j], pre_lo[p[j], j], pre_hi[p[j], j], *pre),
+                          _last_in(below, below, b[j]))
+        keep = a <= b
+        nlo, nhi = _meet(nlo, nhi, a[keep].astype(lo.dtype), b[keep].astype(lo.dtype))
+        new = int(np.sum(nhi - nlo + 1))
+        if new == size:
+            break
+        lo, hi, size = nlo, nhi, new
+    return lo, hi
+
+
+def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.ndarray):
+    """Label the strong components of the subgraph on the sorted cells.
+
+    Forward-backward search, one level of parts at a time: every cell
+    starts in one part; each level trims the parts, searches forward and
+    backward from one pivot per part, inside its part, and labels the
+    pivot's component, the cells found both ways, with the pivot.  The
+    cells found only forward, only backward and neither make three new
+    parts.  A pivot is the cell of its part with the largest multiplicative
+    hash, so on a chain of components it lands in the middle on average.
+
+    The cells of a level are renumbered in order of part and cell, so the
+    window of a cell within its part is one run of numbers, and so are its
+    predecessors on each piece; every array of a level is as long as its
+    cells, and nothing of the grid's size is made.
+    """
+    n, dtype = g.n, g.jlo.dtype
+    first, last = rev
+    part = np.zeros(len(cells), dtype)
+    while len(cells):
+        key = part * np.int64(n) + cells
+
+        def numbers(a, b):
+            # the numbers of the cells a .. b of each cell's own part
+            at = part * np.int64(n)
+            return (np.searchsorted(key, at + a).astype(dtype),
+                    (np.searchsorted(key, at + b, side="right") - 1).astype(dtype))
+
+        succ = numbers(g.jlo[cells], g.jhi[cells])
+        pred = [numbers(f[cells], b[cells]) for f, b in zip(first, last)]
+        loop = (g.jlo[cells] <= cells) & (cells <= g.jhi[cells])
+        del key
+        live = np.ones(len(cells), bool)
+        count = np.zeros(len(cells) + 1, dtype)
+        while True:
+            np.cumsum(live, out=count[1:])
+            out = count[succ[1] + 1] - count[succ[0]] - loop
+            into = sum(np.maximum(count[b + 1] - count[a], 0) for a, b in pred) - loop
+            keep = live & (out > 0) & (into > 0)
+            if np.count_nonzero(keep) == np.count_nonzero(live):
+                break
+            live = keep
+        del count, out, into, keep
+        idx = np.flatnonzero(live)
+        if len(idx) == 0:
+            return
+        starts = np.flatnonzero(np.diff(part[idx], prepend=-1))
+        hashed = (cells[idx].astype(np.int64) * 0x9E3779B1) & 0xFFFFFFFF
+        best = np.repeat(np.maximum.reduceat(hashed, starts), np.diff(starts, append=len(idx)))
+        pivot = idx[hashed == best]
+        del idx, hashed, best
+        fwd = np.zeros(len(cells), bool)
+        fwd[pivot] = True
+        bwd = fwd.copy()
+        _search([succ[0]], [succ[1]], fwd, live)
+        _search([a for a, _ in pred], [b for _, b in pred], bwd, live)
+        del succ, pred
+        comp = fwd & bwd
+        # each component takes the cell of its part's pivot as its label
+        owner = np.zeros(int(part[-1]) + 1, dtype)
+        owner[part[pivot]] = cells[pivot]
+        lab[cells[comp]] = owner[part[comp]]
+        size = np.bincount(part[comp], minlength=len(owner))
+        rec[cells[comp][size[part[comp]] >= 2]] = True
+        live &= ~comp
+        code = part[live] * np.int64(3) + fwd[live] + 2 * bwd[live]
+        cells = cells[live]
+        order = np.lexsort((cells, code))
+        cells, code = cells[order], code[order]
+        part = np.cumsum(np.diff(code, prepend=code[:1]) != 0, dtype=dtype)
 
 
 def recurrent_cells(g: GridGraph):
     """Boolean mask of chain-recurrent cells plus strong-component labels.
 
     A cell is recurrent when its strongly connected component has at least
-    two cells or carries a self-loop.  The labels are arbitrary component
-    ids: two cells share one exactly when they share a component.
+    two cells or carries a self-loop.  The labels are cell numbers: two
+    cells share one exactly when they share a component.
 
     The component of the pivot, the first cell of largest jhi, is peeled
     first (Fleischer, Hendrickson & Pinar 2000): the cells the pivot
-    reaches (`_reach`) that reach it back, found by one breadth-first
-    search of the reversed subgraph on them, are its component, and they
-    take one label.  scipy's strong components run only on the subgraph
-    induced on the other cells, which no longer holds the one giant
-    component of a chaotic map.
+    reaches (`_reach`) that reach it back, found by a search of the
+    reversed windows (`_reversed`, `_reach_back`) kept to the cells it
+    reaches.  The other cells are trimmed on runs (`_trim`) until they fit
+    in a 32nd of the grid; `_components` finishes the trim cell by cell
+    and splits what is left.  Every search runs on the windows themselves,
+    and no edge list is made.
     """
-    from scipy.sparse import csc_matrix, csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
     n = g.n
+    pieces = _pieces(g)
     pivot = int(np.argmax(g.jhi))
     fwd = np.zeros(n, bool)
     fwd[pivot] = True
     _reach(g, fwd)
-    # the reversed subgraph as CSR: the forward CSR's arrays read as CSC
-    # and converted with int8 data, so no float64 copy of the edges is made
-    sub = _induced(g, fwd)
-    back = csc_matrix((np.broadcast_to(np.int8(1), sub.nnz), sub.indices, sub.indptr),
-                      shape=sub.shape).tocsr()
-    del sub
-    back = csr_matrix((np.broadcast_to(1.0, back.nnz), back.indices, back.indptr),
-                      shape=back.shape)
-    # searched from the pivot's rank among the cells it reaches
-    hit = np.zeros(back.shape[0], bool)
-    hit[breadth_first_order(back, int(np.count_nonzero(fwd[:pivot])),
-                            return_predecessors=False)] = True
-    del back
-    # every cell outside the pivot's component
-    rest = ~fwd
-    rest[fwd] = ~hit
-    del fwd, hit
-    # no cell is left on every s = 2 grid, where the pivot's component is all
-    ncomp, lab_rest = (connected_components(_induced(g, rest), connection="strong")
-                       if rest.any() else (0, np.zeros(0, np.int32)))
-    # the rest's cells in components of two or more, from its labels alone
-    big = (np.bincount(lab_rest) >= 2)[lab_rest]
-    lab = np.full(n, ncomp, lab_rest.dtype)
-    lab[rest] = lab_rest
-    del lab_rest
-    ar = np.arange(n, dtype=g.jlo.dtype)
-    # a one-cell component carries a self-loop exactly when its cell does
-    rec = (g.jlo <= ar) & (ar <= g.jhi)
-    del ar
-    rec[rest] |= big
-    # the peeled cells, ~rest, are one component
-    if n - np.count_nonzero(rest) >= 2:
-        rec |= ~rest
+    rev = _reversed(g, pieces)
+    comp = np.zeros(n, bool)
+    comp[pivot] = True
+    _reach_back(rev, pieces, comp, fwd)
+    del fwd
+    rec = np.empty(n, bool)
+    for a in range(0, n, _BLOCK):
+        ar = np.arange(a, min(a + _BLOCK, n), dtype=g.jlo.dtype)
+        np.less_equal(g.jlo[a:a + _BLOCK], ar, out=rec[a:a + _BLOCK])
+        rec[a:a + _BLOCK] &= ar <= g.jhi[a:a + _BLOCK]
+    lab = np.arange(n, dtype=g.jlo.dtype)
+    lab[comp] = pivot
+    if np.count_nonzero(comp) >= 2:
+        rec |= comp
+    # the cells outside the pivot's component, trimmed on runs
+    comp = ~comp
+    lo, hi = (a.astype(g.jlo.dtype) for a in _mask_runs(comp))
+    del comp
+    lo, hi = _trim(g, pieces, rev, lo, hi)
+    _components(g, rev, _expand(lo, hi)[0].astype(g.jlo.dtype), lab, rec)
     return rec, lab
 
 
@@ -276,13 +603,9 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     cells = np.flatnonzero(rec).astype(g.jlo.dtype)
     if len(cells) == 0:
         raise ValueError("no chain-recurrent cells: eps is too fine for this grid")
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     # Classes are strong components glued when their recurrent cells lie at
-    # most three cells apart: an undirected graph with one node per label of
-    # a recurrent cell, numbered by rank, and one edge per such pair of
-    # consecutive cells with two labels.
+    # most three cells apart: the labels of recurrent cells, numbered by
+    # rank, linked for each such pair of consecutive cells with two labels.
     used = np.zeros(len(lab), bool)
     used[lab[cells]] = True
     node = np.cumsum(used, dtype=lab.dtype)[lab[cells]] - 1
@@ -290,9 +613,7 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     glue = np.diff(cells) <= 3
     glue &= node[1:] != node[:-1]
     near = np.flatnonzero(glue)
-    k = int(node.max()) + 1
-    link = csr_matrix((np.ones(len(near), bool), (node[near], node[near + 1])), shape=(k, k))
-    comp = connected_components(link, directed=False)[1][node]
+    comp = _link(int(node.max()) + 1, node[near], node[near + 1])[node]
     del node, glue
 
     # Group cells by class (ascending within each), then order classes by
@@ -309,6 +630,25 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     groups = np.split(members, starts[1:])
     classes = tuple(groups[i].astype(np.int64) for i in np.lexsort((members[starts], tops)))
     return ChainClasses(n, classes, g)
+
+
+def _link(k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The root of each of k nodes under the undirected links u[i] - v[i]:
+    the least node it is linked to.  Union-find on arrays: each round hooks
+    the larger root of every link that joins two roots under the smaller,
+    then halves paths until every node points at a root."""
+    root = np.arange(k, dtype=u.dtype)
+    while True:
+        a, b = root[u], root[v]
+        two = a != b
+        if not two.any():
+            return root
+        np.minimum.at(root, np.maximum(a, b)[two], np.minimum(a, b)[two])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 def _near(cs: np.ndarray, n: int) -> np.ndarray:
@@ -349,27 +689,21 @@ def _hulls(lo: np.ndarray, hi: np.ndarray):
     hhi = np.maximum.reduceat(hi, starts)
     order = np.argsort(hlo, kind="stable")
     hlo, hhi = hlo[order], np.maximum.accumulate(hhi[order])
-    new = np.empty(len(hlo), bool)
-    new[:1] = True
-    np.greater(hlo[1:] - 1, hhi[:-1], out=new[1:])
-    return hlo[new], hhi[np.append(new[1:], True)]
+    new = np.empty(len(hlo) + 1, bool)
+    new[[0, -1]] = True
+    np.greater(hlo[1:] - 1, hhi[:-1], out=new[1:-1])
+    return hlo[new[:-1]], hhi[new[1:]]
 
 
 def _reach(g: GridGraph, seen: np.ndarray) -> np.ndarray:
     """Mark in seen every cell reachable from the cells it marks; return seen.
 
-    The search runs breadth first.  Each step takes the windows of the
-    sorted frontier; a run of frontier cells whose windows overlap or
-    touch, with no gap, reaches exactly its window hull, so the merged
-    hulls (`_hulls`) expand once into the next sorted frontier, and no
-    expanded cell is sorted.
+    A run of frontier cells whose windows overlap or touch, with no gap,
+    reaches exactly its window hull, so each step of the search
+    (`_search`) expands the merged hulls (`_hulls`) of the frontier's
+    windows, and no expanded cell is sorted.
     """
-    frontier = np.flatnonzero(seen)
-    while len(frontier):
-        nxt = _expand(*_hulls(g.jlo[frontier], g.jhi[frontier]))[0]
-        frontier = nxt[~seen[nxt]]
-        seen[frontier] = True
-    return seen
+    return _search([g.jlo], [g.jhi], seen)
 
 
 def conley_graph(cc: ChainClasses):

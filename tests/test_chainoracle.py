@@ -104,11 +104,20 @@ class TestRecurrence:
         inside = (centers > 2 * h) & (centers < 0.18 - 2 * h)
         assert not inside.any()
 
-    def test_edges_larger_than_any_memory_are_refused_by_name(self):
-        # every cell's window is the whole grid: 1e12 int64 edges
+    def test_complete_graph_is_one_component(self):
+        # every cell's window is the whole grid: 1e12 edges, none of them
+        # made, since the searches run on the windows
         g = build_grid(make_tent(1.5), 10**6, 1.0)
-        with pytest.raises(ValueError, match="1000000000000 edges need 8000000000000 bytes"):
-            recurrent_cells(g)
+        mask, lab = recurrent_cells(g)
+        assert mask.all()
+        assert (lab == lab[0]).all()
+
+    def test_complete_graph_peak_is_thirty_bytes_a_cell(self, traced_peak):
+        n = 10**6
+        m = make_tent(1.5)
+        recurrent_cells(build_grid(m, 1000, 1.0))
+        g = build_grid(m, n, 1.0)
+        assert traced_peak(recurrent_cells, g) < 30 * n
 
 
 class TestChainClasses:
@@ -444,23 +453,39 @@ def test_index_dtype_widens_past_int32():
     assert chainoracle._index_dtype(62 * 10**9) is np.int64
 
 
-def test_induced_graph_holds_the_windows():
-    """Every cell kept gives the windows cell for cell; a random mask gives
-    the dense submatrix on the kept rows and columns, ranks for cells.  The
-    tent 1.5 grid at 1.6h has windows with gaps between them."""
+def reference_predecessors(g, p0, p1):
+    # per cell j, the first and last cell of p0 .. p1 whose window holds j
+    first = np.full(g.n, p1 + 1, np.int64)
+    last = np.full(g.n, p0 - 1, np.int64)
+    for i in range(p0, p1 + 1):
+        first[g.jlo[i]:g.jhi[i] + 1] = np.minimum(first[g.jlo[i]:g.jhi[i] + 1], i)
+        last[g.jlo[i]:g.jhi[i] + 1] = i
+    return first, last
+
+
+@pytest.mark.parametrize("m, k", [(make_tent(1.7), 3.0), (make_tent(1.5), 1.6),
+                                  (make_logistic(3.5), 2.0), (make_tu(1.0), 2.0),
+                                  (make_tent(1.5), 1e300)],
+                         ids=["tent-1.7", "tent-1.5-gaps", "logistic-3.5", "tu-1.0", "whole-grid"])
+def test_reversed_windows_hold_the_predecessors(m, k):
+    """Each piece's windows rise or fall together, and its reversed window
+    of cell j is the run of its cells whose windows hold j.  Tent 1.5 at
+    1.6h has windows with gaps between them; at 1e300 every window is the
+    whole grid and the grid is one flat piece."""
     n = 1000
-    rng = np.random.default_rng(0)
-    for m, k in [(make_tent(1.7), 3.0), (make_tent(1.5), 1.6), (make_logistic(3.5), 2.0)]:
-        g = build_grid(m, n, k / n)
-        full = np.zeros((n, n), bool)
-        for i in range(n):
-            full[i, g.jlo[i]:g.jhi[i] + 1] = True
-        assert np.array_equal(chainoracle._induced(g, np.ones(n, bool)).toarray() != 0, full)
-        for p in (0.0, 0.1, 0.5, 0.9):
-            keep = rng.random(n) < p
-            sub = chainoracle._induced(g, keep)
-            assert sub.shape == (keep.sum(), keep.sum())
-            assert np.array_equal(sub.toarray() != 0, full[np.ix_(keep, keep)])
+    g = build_grid(m, n, k / n)
+    pieces = chainoracle._pieces(g)
+    assert [p0 for p0, _, _ in pieces] == [0] + [p1 + 1 for _, p1, _ in pieces[:-1]]
+    assert pieces[-1][1] == n - 1
+    first, last = chainoracle._reversed(g, pieces)
+    for (p0, p1, up), f, b in zip(pieces, first, last):
+        step = np.diff(g.jlo[p0:p1 + 1]), np.diff(g.jhi[p0:p1 + 1])
+        assert all(((d >= 0) if up else (d <= 0)).all() for d in step)
+        want_first, want_last = reference_predecessors(g, p0, p1)
+        held = want_first <= want_last
+        assert np.array_equal(f[held], want_first[held])
+        assert np.array_equal(b[held], want_last[held])
+        assert (f[~held] > b[~held]).all()
 
 
 @pytest.mark.parametrize("s", [2.0, 1.4])
@@ -539,7 +564,9 @@ def test_build_grid_peak_is_its_windows_plus_one_block(traced_peak):
 
 
 # ---------------------------------------------------------------------------
-# strong components: the pivot's component peeled, scipy on the rest
+# strong components: the pivot's component peeled, the rest trimmed on runs
+# and split by forward-backward search; scipy's whole-graph components are
+# the reference
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -585,6 +612,115 @@ def test_recurrent_cells_peak_is_thirty_bytes_a_cell(s, traced_peak):
     recurrent_cells(build_grid(m, 1000, 2 / 1000))
     g = build_grid(m, n, 2 / n)
     assert traced_peak(recurrent_cells, g) < 30 * n
+
+
+@pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
+def test_recurrent_cells_peak_does_not_grow_with_eps(s, traced_peak):
+    """At 32h the windows are 64 cells wide, and the bound is the one of
+    2h: the searches expand merged hulls and cut reversed windows, so no
+    edge list is made.  Expanding every window into a CSR and its reverse
+    held about 64 edges a cell twice."""
+    n = 200_000
+    m = make_tent(s)
+    recurrent_cells(build_grid(m, 1000, 32 / 1000))
+    g = build_grid(m, n, 32 / n)
+    assert traced_peak(recurrent_cells, g) < 30 * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_peel_case(), step=st.sampled_from([1, 2, 7, 64]))
+@example(case=(make_tent(1.979249060900373), 20_000, 35.14645212976813), step=1 << 13)
+def test_any_search_step_gives_the_same_components(case, step):
+    """The backward search expands _STEP frontier cells at a time and cuts
+    each block's reversed windows at the cells the blocks before it gave;
+    with blocks of a few cells the components are still scipy's.  The
+    example lost a falling piece's cells when a block's cut ran the wrong
+    way."""
+    m, n, k = case
+    n = min(n, 3_000) if step < 64 else n
+    h = 1.0 / n
+    g = build_grid(m, n, max(k * h, 1.5 * h))
+    with mock.patch.object(chainoracle, "_STEP", step):
+        mask, lab = recurrent_cells(g)
+    want_mask, want_lab = reference_recurrent_cells(g)
+    assert np.array_equal(mask, want_mask)
+    pairs = np.unique(np.stack([lab, want_lab]), axis=1)
+    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
+
+
+def reference_trim(g, keep):
+    # cell by cell: drop the cells with no successor or no predecessor in
+    # keep other than themselves, until none is dropped
+    keep = keep.copy()
+    idx, ptr = chainoracle._expand(g.jlo, g.jhi)
+    src = np.repeat(np.arange(g.n), np.diff(ptr))
+    other = src != idx
+    while True:
+        live = keep[src] & keep[idx] & other
+        out = np.bincount(src[live], minlength=g.n) > 0
+        into = np.bincount(idx[live], minlength=g.n) > 0
+        new = keep & out & into
+        if (new == keep).all():
+            return keep
+        keep = new
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_peel_case(), seed=st.integers(0, 2**32 - 1))
+@example(case=(make_tent(1.01), 20_000, 2.0), seed=0)
+def test_trim_on_runs_keeps_every_cell_between_cycles(case, seed):
+    """The run trim drops only cells that the cell-by-cell trim drops."""
+    m, n, k = case
+    h = 1.0 / n
+    g = build_grid(m, n, max(k * h, 1.5 * h))
+    keep = np.random.default_rng(seed).random(n) < 0.9
+    pieces = chainoracle._pieces(g)
+    rev = chainoracle._reversed(g, pieces)
+    lo, hi = chainoracle._mask_runs(keep)
+    lo, hi = chainoracle._trim(g, pieces, rev, lo.astype(g.jlo.dtype), hi.astype(g.jlo.dtype))
+    got = np.zeros(n, bool)
+    got[chainoracle._expand(lo, hi)[0]] = True
+    assert not (got & ~keep).any()
+    assert not (reference_trim(g, keep) & ~got).any()
+
+
+@pytest.mark.parametrize("s", [1.01, 1.05, 1.4])
+def test_trim_on_runs_leaves_a_32nd_of_the_grid(s):
+    """Outside the attractor's component a tent grid is transients around
+    a few small classes.  The cells from 0 up to the first band are a
+    chain that leaves the fixed point at 0, a window a round for the
+    cell-by-cell trim; the run trim eats it from both ends at once and
+    leaves at most a 32nd of the grid to the cell-by-cell trim."""
+    n = 20_000
+    g = build_grid(make_tent(s), n, 2 / n)
+    pieces = chainoracle._pieces(g)
+    rev = chainoracle._reversed(g, pieces)
+    pivot = int(np.argmax(g.jhi))
+    fwd, comp = np.zeros(n, bool), np.zeros(n, bool)
+    fwd[pivot] = comp[pivot] = True
+    chainoracle._reach_back(rev, pieces, comp, chainoracle._reach(g, fwd))
+    lo, hi = (a.astype(np.int32) for a in chainoracle._mask_runs(~comp))
+    lo, hi = chainoracle._trim(g, pieces, rev, lo, hi)
+    assert np.sum(hi - lo + 1) <= n // 32
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 40), data=st.data())
+def test_linked_nodes_share_a_root(k, data):
+    """The union-find gives two nodes one root exactly when scipy's
+    undirected components put them together."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    links = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                               max_size=60))
+    u = np.array([a for a, _ in links], dtype=np.int32)
+    v = np.array([b for _, b in links], dtype=np.int32)
+    root = chainoracle._link(k, u, v)
+    want = connected_components(csr_matrix((np.ones(len(u)), (u, v)), shape=(k, k)),
+                                directed=False)[1]
+    assert np.array_equal(root[root], root)
+    pairs = np.unique(np.stack([root, want]), axis=1)
+    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
 
 
 def reference_seeds(cs, n):

@@ -154,7 +154,6 @@ class TestVerify:
          "eps=0.0006 must be finite and at least 1.5h=0.00075: "
          "below that no edges are certifiable (1.2 cell widths)"),
         # larger than any machine's memory: refused before allocating
-        (["--n", "1000000", "--eps", "1000000"], "1000000000000 edges need 8000000000000 bytes"),
         (["--n", "10000000000000"],
          "20000000000000 window bounds of a grid of n=10000000000000 cells "
          "need 160000000000000 bytes"),
@@ -164,6 +163,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert limit in err
+
+    def test_complete_graph_is_answered_as_one_class(self, capsys):
+        # every window is the whole grid: 1e12 edges, none of them made
+        code, out, err = run(["verify", "--s", "1.8", "--n", "1000000", "--eps", "1000000"],
+                             capsys)
+        assert code == 1
+        assert err == ""
+        assert "PASS tower: 1 classes, edges []" in out
+        assert "FAIL match: 2 analytic nodes vs 1 oracle classes" in out
 
     def test_non_tent_family_exits_2(self, capsys):
         # the oracle reads tu's N_1 as a Cantor node and, at the default
@@ -540,17 +548,16 @@ def _main_exits_0(argv):
     return f"from unimodal.cli import main\nassert main({argv!r}) == 0"
 
 
-# scipy is the oracle's alone: a fresh process that never builds chain
-# classes never loads it, and one that does loads it at its first call.
-# numpy.random comes only with scipy: the histograms' start draw is
-# computed without it
+# scipy is the tests' reference only: no fresh process loads it, the one
+# that builds chain classes included.  Nor does any load numpy.random: the
+# histograms' start draw is computed without it
 @pytest.mark.parametrize("code,prefix,loaded", [
     ("import unimodal", "scipy", False),
     ("import unimodal; unimodal.tu_skeleton()", "scipy", False),
     (_main_exits_0(["nodes", "--s", "1.5"]), "scipy", False),
     (_main_exits_0(["salpha", "--s", "1.5", "--x", "0.3", "--depth", "12"]), "scipy", False),
     (_main_exits_0(BIFURCATION + ["--out", "d.pgm"]), "scipy", False),
-    (_main_exits_0(["verify", "--s", "1.8", "--n", "2000"]), "scipy", True),
+    (_main_exits_0(["verify", "--s", "1.8", "--n", "2000"]), "scipy", False),
     ("import unimodal", "numpy.random", False),
     ("import unimodal; unimodal.tu_skeleton()", "numpy.random", False),
     (_main_exits_0(["nodes", "--family", "tu", "--mu", "1.0"]), "numpy.random", False),
@@ -559,6 +566,7 @@ def _main_exits_0(argv):
     ("from unimodal.cli import band_count; band_count('tu', 1.0)", "numpy.random", False),
     ("from unimodal.cli import three_band_window; three_band_window(0.99, 1.005)",
      "numpy.random", False),
+    (_main_exits_0(["verify", "--s", "1.8", "--n", "2000"]), "numpy.random", False),
     # the root loads each submodule at the first read of one of its names,
     # and the oracle needs none of the analytic side
     ("import unimodal; unimodal.tu_skeleton()", "unimodal.structure", False),
@@ -568,7 +576,7 @@ def _main_exits_0(argv):
     ("from unimodal import chain_classes", "unimodal.structure", False),
 ], ids=["import", "tu_skeleton", "nodes", "salpha", "bifurcation", "verify",
         "import-random", "tu_skeleton-random", "nodes-tu-random", "bifurcation-tu-random",
-        "band_count-random", "three_band_window-random", "tu_skeleton-structure",
+        "band_count-random", "three_band_window-random", "verify-random", "tu_skeleton-structure",
         "tu_skeleton-chainoracle", "tu_skeleton-backward", "tu_skeleton-cli",
         "chain_classes-structure"])
 def test_scipy_loads_only_where_the_oracle_runs(code, prefix, loaded, tmp_path):
@@ -601,6 +609,40 @@ def numpy_random_mentions(source: str) -> list:
         if hit:
             found.append(node.lineno)
     return found
+
+
+def scipy_imports(source: str) -> list:
+    """Each line of source that imports scipy or a module or name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "scipy" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "scipy"
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import scipy", [1]),
+    ("import numpy\nimport scipy.sparse as sp", [2]),
+    ("from scipy.sparse.csgraph import connected_components", [1]),
+    ("def f():\n    from scipy import sparse", [2]),
+    ("import scipyx\nfrom scipy_like import scipy\nscipy = 1", []),
+], ids=["import", "import-as", "from", "in-function", "look-alikes"])
+def test_scipy_imports_are_found_by_line(source, lines):
+    assert scipy_imports(source) == lines
+
+
+def test_no_module_imports_scipy():
+    # the oracle's searches run on the windows; scipy stays in the test
+    # extra as the reference, and importing it took 31 MB
+    found = {p.name: scipy_imports(p.read_text())
+             for p in Path(unimodal.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_no_module_names_numpy_random():
