@@ -40,7 +40,6 @@ maps (lam = s <= 2) keep their classes at the default 2h, but a tu map
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -88,9 +87,10 @@ class GridGraph:
 def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     """The eps-chain graph of m on n cells, its windows in `_index_dtype(n)`.
 
-    Windows that would outgrow physical memory are refused by name, and so
-    is any expansion of windows into cells, in `_expand`, before either is
-    allocated.
+    Windows that would outgrow physical memory are refused by name before
+    they are allocated.  No other array of the oracle outgrows a few times
+    theirs: every search expands sorted runs that do not overlap, never a
+    window of every cell.
     """
     if n < _MIN_CELLS:
         raise ValueError(f"grid too coarse: n={n} < {_MIN_CELLS}")
@@ -101,9 +101,18 @@ def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
     if m.domain.lo != 0.0 or m.domain.hi != 1.0:
         raise ValueError("oracle grid expects the unit interval domain")
     slack = eps - h
-    _refuse_unless_fits(2 * n, _index_dtype(n), f"window bounds of a grid of n={n} cells")
-    jlo = np.empty(n, _index_dtype(n))
-    jhi = np.empty(n, jlo.dtype)
+    dtype = _index_dtype(n)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = None       # no sysconf here: numpy's own MemoryError is the refusal
+    need = 2 * n * np.dtype(dtype).itemsize
+    if memory is not None and need > memory:
+        raise ValueError(f"{2 * n} window bounds of a grid of n={n} cells need {need} bytes "
+                         f"({need / 2**30:.1f} GiB), more than the {memory / 2**30:.1f} GiB "
+                         f"of physical memory")
+    jlo = np.empty(n, dtype)
+    jhi = np.empty(n, dtype)
     # a block at a time, so no float temporary outgrows one block; clipped
     # before the cast, so a huge eps cannot overflow the index dtype
     for a in range(0, n, _BLOCK):
@@ -118,51 +127,25 @@ def _index_dtype(bound: int):
     return np.int32 if bound <= _INT32_MAX else np.int64
 
 
-@functools.cache
-def _physical_memory() -> Optional[int]:
-    """Bytes of the machine's physical memory, None where sysconf cannot
-    tell; asked once, since each search step checks against it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
+def _expand(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The cells of the runs lo[k] .. hi[k] (empty when lo[k] > hi[k]),
+    concatenated in order, in the dtype of lo.
 
-
-def _refuse_unless_fits(count: int, dtype, what: str) -> None:
-    """Refuse by name an array of count items of dtype that is larger than
-    the machine's physical memory, before any of it is allocated."""
-    memory = _physical_memory()
-    if memory is None:
-        return      # no sysconf here: numpy's own MemoryError is the refusal
-    need = count * np.dtype(dtype).itemsize
-    if need > memory:
-        raise ValueError(f"{count} {what} need {need} bytes ({need / 2**30:.1f} GiB), "
-                         f"more than the {memory / 2**30:.1f} GiB of physical memory")
-
-
-def _expand(lo: np.ndarray, hi: np.ndarray):
-    """Cells of the windows lo[k] .. hi[k] (empty when lo[k] > hi[k]),
-    concatenated in order, and the offsets where each window's cells start,
-    with the total appended, in the `_index_dtype` of their largest value.
-
-    Slot p of window k holds cell lo[k] + p - ptr[k].  The windows are
-    written _BLOCK at a time, so no scratch outgrows one block's cells.
+    Every caller hands sorted runs that do not overlap: merged hulls, cut
+    reversed windows or trimmed runs.  So the cells are at most the grid's
+    (or a level's), and their count and offsets fit in the dtype of the
+    cell numbers.  The runs are written _BLOCK at a time, so no scratch
+    outgrows one block's cells.
     """
-    ptr = np.zeros(len(lo) + 1, np.int64)
+    ptr = np.zeros(len(lo) + 1, lo.dtype)
     np.maximum(hi - lo + 1, 0, out=ptr[1:])
     np.cumsum(ptr, out=ptr)
-    total = int(ptr[-1])
-    dtype = _index_dtype(max(total, int(hi.max(initial=0))))
-    _refuse_unless_fits(total, dtype, "cells of windows")
-    ptr = ptr.astype(dtype)
-    cells = np.empty(total, dtype)
+    cells = np.empty(ptr[-1], lo.dtype)
     for a in range(0, len(lo), _BLOCK):
         p = ptr[a:a + _BLOCK + 1]
-        # an empty window's shift may not fit, but it is never repeated
-        shift = (lo[a:a + _BLOCK] - p[:-1]).astype(ptr.dtype)
-        np.add(np.repeat(shift, np.diff(p)), np.arange(p[0], p[-1], dtype=ptr.dtype),
-               out=cells[p[0]:p[-1]])
-    return cells, ptr
+        np.add(np.repeat(lo[a:a + _BLOCK] - p[:-1], np.diff(p)),
+               np.arange(p[0], p[-1], dtype=lo.dtype), out=cells[p[0]:p[-1]])
+    return cells
 
 
 def _pieces(g: GridGraph):
@@ -263,7 +246,7 @@ def _search(lo, hi, seen: np.ndarray, inside: Optional[np.ndarray] = None) -> np
     frontier = np.flatnonzero(seen)
     while len(frontier):
         nxt = _expand(*_hulls(*(w[0][frontier] if len(w) == 1
-                                else np.concatenate([v[frontier] for v in w]) for w in (lo, hi))))[0]
+                                else np.concatenate([v[frontier] for v in w]) for w in (lo, hi))))
         keep = ~seen[nxt]
         if inside is not None:
             keep &= inside[nxt]
@@ -310,7 +293,7 @@ def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray) -> np.ndarray
                         edge[i] = min(edge[i], int(lo[0]))
                     np.maximum(lo[1:], hi[:-1] + 1, out=lo[1:])
                     windows.append((lo, hi))
-                cells = _expand(*(np.concatenate(w) for w in zip(*windows)))[0]
+                cells = _expand(*(np.concatenate(w) for w in zip(*windows)))
                 cells = cells[inside[cells] & ~seen[cells]]
                 seen[cells] = True
                 if len(cells):
@@ -458,7 +441,9 @@ def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.n
     The cells of a level are renumbered in order of part and cell, so the
     window of a cell within its part is one run of numbers, and so are its
     predecessors on each piece; every array of a level is as long as its
-    cells, and nothing of the grid's size is made.
+    cells, and nothing of the grid's size is made.  A trim round scans
+    every cell of its level, so once fewer than half of them are live the
+    live ones are renumbered and trimmed on as a level of their own.
     """
     n, dtype = g.n, g.jlo.dtype
     first, last = rev
@@ -478,7 +463,7 @@ def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.n
         del key
         live = np.ones(len(cells), bool)
         count = np.zeros(len(cells) + 1, dtype)
-        while True:
+        while 2 * np.count_nonzero(live) >= len(cells):
             np.cumsum(live, out=count[1:])
             out = count[succ[1] + 1] - count[succ[0]] - loop
             into = sum(np.maximum(count[b + 1] - count[a], 0) for a, b in pred) - loop
@@ -487,6 +472,10 @@ def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.n
                 break
             live = keep
         del count, out, into, keep
+        if 2 * np.count_nonzero(live) < len(cells):
+            # most of the level is dead: trim on what is left, renumbered
+            cells, part = cells[live], part[live]
+            continue
         idx = np.flatnonzero(live)
         if len(idx) == 0:
             return
@@ -525,7 +514,7 @@ def recurrent_cells(g: GridGraph):
 
     The component of the pivot, the first cell of largest jhi, is peeled
     first (Fleischer, Hendrickson & Pinar 2000): the cells the pivot
-    reaches (`_reach`) that reach it back, found by a search of the
+    reaches (`_search`) that reach it back, found by a search of the
     reversed windows (`_reversed`, `_reach_back`) kept to the cells it
     reaches.  The other cells are trimmed on runs (`_trim`) until they fit
     in a 32nd of the grid; `_components` finishes the trim cell by cell
@@ -537,7 +526,7 @@ def recurrent_cells(g: GridGraph):
     pivot = int(np.argmax(g.jhi))
     fwd = np.zeros(n, bool)
     fwd[pivot] = True
-    _reach(g, fwd)
+    _search([g.jlo], [g.jhi], fwd)
     rev = _reversed(g, pieces)
     comp = np.zeros(n, bool)
     comp[pivot] = True
@@ -557,7 +546,7 @@ def recurrent_cells(g: GridGraph):
     lo, hi = (a.astype(g.jlo.dtype) for a in _mask_runs(comp))
     del comp
     lo, hi = _trim(g, pieces, rev, lo, hi)
-    _components(g, rev, _expand(lo, hi)[0].astype(g.jlo.dtype), lab, rec)
+    _components(g, rev, _expand(lo, hi), lab, rec)
     return rec, lab
 
 
@@ -695,29 +684,18 @@ def _hulls(lo: np.ndarray, hi: np.ndarray):
     return hlo[new[:-1]], hhi[new[1:]]
 
 
-def _reach(g: GridGraph, seen: np.ndarray) -> np.ndarray:
-    """Mark in seen every cell reachable from the cells it marks; return seen.
-
-    A run of frontier cells whose windows overlap or touch, with no gap,
-    reaches exactly its window hull, so each step of the search
-    (`_search`) expands the merged hulls (`_hulls`) of the frontier's
-    windows, and no expanded cell is sorted.
-    """
-    return _search([g.jlo], [g.jhi], seen)
-
-
 def conley_graph(cc: ChainClasses):
     """Reachability edges between classes in the eps-chain graph.
 
     An edge i -> j is recorded when some cell within two cells of class i
-    (but outside it) reaches class j along graph edges (`_reach`); this
+    (but outside it) reaches class j along graph edges (`_search`); this
     captures both genuine escape routes and orbits grazing past a
     repelling class.
     """
     g = cc.graph
     edges = []
     for i, cs in enumerate(cc.classes):
-        seen = _reach(g, _near(cs, g.n))
+        seen = _search([g.jlo], [g.jhi], _near(cs, g.n))
         for j in range(len(cc.classes)):
             if j != i and seen[cc.classes[j]].any():
                 edges.append((i, j))

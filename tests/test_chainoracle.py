@@ -286,8 +286,8 @@ def reference_recurrent_cells(g):
     # scipy's strong components of the whole graph, every window expanded
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
-    idx, ptr = chainoracle._expand(g.jlo, g.jhi)
-    graph = csr_matrix((np.ones(len(idx)), idx, ptr), shape=(g.n, g.n))
+    idx, ends = reference_expand(g.jlo, g.jhi)
+    graph = csr_matrix((np.ones(len(idx)), idx, np.r_[0, ends]), shape=(g.n, g.n))
     ncomp, lab = connected_components(graph, directed=True, connection="strong")
     sizes = np.bincount(lab, minlength=ncomp)
     ar = np.arange(g.n)
@@ -420,33 +420,38 @@ def reference_expand(lo, hi):
 
 
 @st.composite
-def _windows(draw):
-    n = draw(st.integers(1, 300))
-    k = draw(st.integers(0, 120))
-    cell = st.integers(0, n - 1)
-    lo = np.array(draw(st.lists(cell, min_size=k, max_size=k)), dtype=np.int64)
-    hi = np.array(draw(st.lists(cell, min_size=k, max_size=k)), dtype=np.int64)
-    return lo, hi
+def _disjoint_runs(draw):
+    # sorted runs that may touch but do not overlap; an empty run (width
+    # 0) ends 1 to 4 cells before it starts
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    lo, hi, at = [], [], 0
+    for gap, width, short in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9),
+                                                     st.integers(1, 4)), max_size=120)):
+        at += gap
+        lo.append(at)
+        hi.append(at + width - 1 if width else at - short)
+        at += width
+    return np.array(lo, dtype), np.array(hi, dtype)
 
 
 @settings(max_examples=200, deadline=None)
-@given(windows=_windows(), block=st.sampled_from([1, 2, 3, 7, 64, 1 << 15]))
-@example(windows=(np.zeros(0, np.int64), np.zeros(0, np.int64)), block=1 << 15)
-@example(windows=(np.array([5, 9, 2]), np.array([4, 1, 0])), block=2)
-def test_blockwise_edges_equal_one_repeat(windows, block):
-    """Windows written a block at a time, empty ones and blocks with no
-    edge at all included, give the cells of one repeat + arange."""
-    lo, hi = windows
+@given(runs=_disjoint_runs(), block=st.sampled_from([1, 2, 3, 7, 64, 1 << 15]))
+@example(runs=(np.zeros(0, np.int32), np.zeros(0, np.int32)), block=1 << 15)
+@example(runs=(np.array([0, 3, 3, 9], np.int32), np.array([2, 1, 8, 8], np.int32)), block=2)
+def test_blockwise_edges_equal_one_repeat(runs, block):
+    """Disjoint runs written a block at a time, empty ones and blocks with
+    no cell at all included, give the cells of one repeat + arange, in the
+    dtype of lo."""
+    lo, hi = runs
     with mock.patch.object(chainoracle, "_BLOCK", block):
-        cells, ptr = chainoracle._expand(lo, hi)
-    want, ends = reference_expand(lo, hi)
-    assert cells.dtype == ptr.dtype == np.int32
-    assert np.array_equal(cells, want)
-    assert np.array_equal(ptr, np.r_[0, ends])
+        cells = chainoracle._expand(lo, hi)
+    assert cells.dtype == lo.dtype
+    assert np.array_equal(cells, reference_expand(lo, hi)[0])
 
 
 def test_index_dtype_widens_past_int32():
-    # the edge total decides, never an array of that many edges
+    # the grid size decides: int32 while every cell number, window bound
+    # and count of cells fits in it
     assert chainoracle._index_dtype(0) is np.int32
     assert chainoracle._index_dtype(2**31 - 1) is np.int32
     assert chainoracle._index_dtype(2**31) is np.int64
@@ -601,12 +606,11 @@ def test_peeled_components_equal_whole_graph_components(case):
 
 @pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
 def test_recurrent_cells_peak_is_thirty_bytes_a_cell(s, traced_peak):
-    """At s = 2 the peel holds every cell, and the peak is its reversal:
-    the forward CSR (12 bytes a cell) beside the reversed one with its
-    int8 data (16), 29.0 bytes a cell.  s = 1.8 reads 21.8 and s = 1.4,
-    where scipy's pass sees most cells, 19.6.  Handing scipy the
-    transpose, which it converts to a float64 CSR beside the forward one,
-    read 58.0 at s = 2."""
+    """The reversed windows, two int32 arrays on each of the two laps (16
+    bytes a cell), the int32 labels (4) and a byte-a-cell mask or two
+    stay through the call.  On top of them the peak is the backward
+    search's frontier at s = 2, where the peel holds every cell: 23.2
+    bytes a cell.  At s = 1.4 and 1.8 it is the run trim: 25.2."""
     n = 200_000
     m = make_tent(s)
     recurrent_cells(build_grid(m, 1000, 2 / 1000))
@@ -648,12 +652,35 @@ def test_any_search_step_gives_the_same_components(case, step):
     assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=_peel_case())
+@example(case=(make_tent(1.5), 20_000, 1.6))
+@example(case=(make_tu(1.0), 20_000, 3.0))
+def test_expand_gets_sorted_runs_that_do_not_overlap(case):
+    """`_expand` sizes its cells and offsets in the dtype of the cell
+    numbers, which holds only for runs that do not overlap.  Every call
+    that the strong components, the classes and the Conley graph make
+    hands it sorted runs that do not overlap, empty ones aside."""
+    m, n, k = case
+    h = 1.0 / n
+    expand, disjoint = chainoracle._expand, []
+
+    def spy(lo, hi):
+        run = lo <= hi
+        disjoint.append(bool(np.all(lo[run][1:] > hi[run][:-1])))
+        return expand(lo, hi)
+
+    with mock.patch.object(chainoracle, "_expand", spy):
+        conley_graph(chain_classes(m, n, max(k * h, 1.5 * h)))
+    assert disjoint and all(disjoint)
+
+
 def reference_trim(g, keep):
     # cell by cell: drop the cells with no successor or no predecessor in
     # keep other than themselves, until none is dropped
     keep = keep.copy()
-    idx, ptr = chainoracle._expand(g.jlo, g.jhi)
-    src = np.repeat(np.arange(g.n), np.diff(ptr))
+    idx, ends = reference_expand(g.jlo, g.jhi)
+    src = np.repeat(np.arange(g.n), np.diff(ends, prepend=0))
     other = src != idx
     while True:
         live = keep[src] & keep[idx] & other
@@ -679,7 +706,7 @@ def test_trim_on_runs_keeps_every_cell_between_cycles(case, seed):
     lo, hi = chainoracle._mask_runs(keep)
     lo, hi = chainoracle._trim(g, pieces, rev, lo.astype(g.jlo.dtype), hi.astype(g.jlo.dtype))
     got = np.zeros(n, bool)
-    got[chainoracle._expand(lo, hi)[0]] = True
+    got[chainoracle._expand(lo, hi)] = True
     assert not (got & ~keep).any()
     assert not (reference_trim(g, keep) & ~got).any()
 
@@ -698,10 +725,31 @@ def test_trim_on_runs_leaves_a_32nd_of_the_grid(s):
     pivot = int(np.argmax(g.jhi))
     fwd, comp = np.zeros(n, bool), np.zeros(n, bool)
     fwd[pivot] = comp[pivot] = True
-    chainoracle._reach_back(rev, pieces, comp, chainoracle._reach(g, fwd))
+    chainoracle._reach_back(rev, pieces, comp, chainoracle._search([g.jlo], [g.jhi], fwd))
     lo, hi = (a.astype(np.int32) for a in chainoracle._mask_runs(~comp))
     lo, hi = chainoracle._trim(g, pieces, rev, lo, hi)
     assert np.sum(hi - lo + 1) <= n // 32
+
+
+def test_trim_rounds_rescan_no_dead_level():
+    """Tent 1.5 at 1.6h, whose windows have gaps, hands `_components` a
+    first level of 37k cells, and its trim drops a few a round for
+    hundreds of rounds.  Each round takes one cumulative count of its
+    level's live mask; rescanning the whole level every round counted
+    33.9M cells at n = 1e5, renumbering the live cells once fewer than
+    half are live counts 1.9M."""
+    n = 100_000
+    g = build_grid(make_tent(1.5), n, 1.6 / n)
+    cumsum, scanned = np.cumsum, []
+
+    def spy(a, *args, out=None, **kwargs):
+        if out is not None and a.dtype == bool:
+            scanned.append(len(a))
+        return cumsum(a, *args, out=out, **kwargs)
+
+    with mock.patch.object(np, "cumsum", spy):
+        recurrent_cells(g)
+    assert 0 < sum(scanned) < 4 * 10**6
 
 
 @settings(max_examples=100, deadline=None)
