@@ -49,6 +49,7 @@ _RETURN_STEPS = 40      # forward steps of the return probe
 _PROBE_RADIUS = 2e-3
 _BRACKET_PAD = 1e-12    # float slack of a bin's bracket per step (_DEDUP_TOL)
 _CLUSTER_GAP = 5e-3
+_BLOCK = 1 << 15        # points sorted out or binned at once
 _LOOKAHEAD = 8          # preimage rows a dense-orbit step looks ahead
 
 
@@ -64,19 +65,34 @@ class BackwardTree:
 
     def deep_points(self, from_depth: int) -> np.ndarray:
         """The distinct points of rows from_depth on, sorted."""
-        return _distinct_points(list(self.levels[from_depth:]))
+        rows = self.levels[from_depth:]
+        pts = np.concatenate(rows) if rows else np.empty(0)
+        pts.resize(_keep(pts), refcheck=False)
+        return pts
 
 
-def _distinct_points(rows: list) -> np.ndarray:
-    """The distinct points of the rows, sorted.  The list is emptied once
-    the rows are joined, so rows that nothing else holds go before the sort."""
-    pts = np.concatenate(rows) if rows else np.empty(0)
-    rows.clear()
-    pts.sort()
-    keep = np.empty(len(pts), bool)
-    keep[:1] = True
-    np.not_equal(pts[1:], pts[:-1], out=keep[1:])
-    return pts[keep]
+def _keep(pts: np.ndarray, mask=None) -> int:
+    """Move the points the mask marks to the front of pts, in order, and
+    return how many there are.  With no mask pts is sorted first and the
+    points kept are the distinct ones.  _BLOCK points are moved at a time,
+    each block read before any of it is written, so nothing outgrows a block.
+    """
+    if mask is None:
+        pts.sort()
+    kept, prev = 0, None
+    for a in range(0, len(pts), _BLOCK):
+        block = pts[a:a + _BLOCK]
+        if mask is None:
+            keep = np.empty(len(block), bool)
+            keep[0] = prev is None or block[0] != prev
+            np.not_equal(block[1:], block[:-1], out=keep[1:])
+            prev = block[-1]
+        else:
+            keep = mask[a:a + _BLOCK]
+        block = block[keep]
+        pts[kept:kept + len(block)] = block
+        kept += len(block)
+    return kept
 
 
 def _thin(row: np.ndarray, cap: int) -> np.ndarray:
@@ -90,21 +106,27 @@ def _thin(row: np.ndarray, cap: int) -> np.ndarray:
 def build_backward_tree(m: PiecewiseMap, x: float, depth: int) -> BackwardTree:
     """All preimages of x down to the given depth, one sorted row per level.
 
-    Rows beyond the cap are thinned evenly (extremes kept).
+    Rows beyond the cap are thinned evenly (extremes kept).  The rows are
+    slices of one array, grown by each row as it comes.
     """
     if not 0 <= depth <= _MAX_TREE_DEPTH:
         raise ValueError(f"depth must be in [0, {_MAX_TREE_DEPTH}], got {depth}")
     if not m.domain.contains(x):
         raise ValueError(f"x={x} outside the domain")
-    levels = [np.array([x])]
+    pts = np.array([x], dtype=float)
+    ends = [0, 1]
     truncated = False
     for _ in range(depth):
-        row = m.preimages_array(levels[-1])
+        row = m.preimages_array(pts[ends[-2]:])
         if len(row) > _LEVEL_CAP:
             row = _thin(row, _LEVEL_CAP)
             truncated = True
-        levels.append(row)
-    return BackwardTree(x, depth, tuple(levels), truncated)
+        # in place, so no slice of pts may be alive here
+        pts.resize(ends[-1] + len(row), refcheck=False)
+        pts[ends[-1]:] = row
+        ends.append(len(pts))
+    return BackwardTree(x, depth, tuple(pts[a:b] for a, b in zip(ends[:-1], ends[1:])),
+                        truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +172,22 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     If its inner image covers the bin at some step, every member returns;
     if its outer image never meets it, none does.  The members of the
     remaining bins go through the same bracket loop one by one, with no
-    pad, so the mask is the per-point one, bit for bit.
+    pad, so the mask is the per-point one, bit for bit.  The bins are cut
+    _BLOCK points at a time, so no copy of the points is made.
     """
     if len(ys) == 0:
         return np.zeros(0, bool)
     order = None
-    if (ys[1:] < ys[:-1]).any():    # salpha hands them over sorted
+    if any(np.any(w[1:] < w[:-1])       # salpha hands them over sorted
+           for w in (ys[a - 1:a + _BLOCK] for a in range(1, len(ys), _BLOCK))):
         order = np.argsort(ys, kind="stable")
         ys = ys[order]
-    key = ys / (r / 8.0)
-    np.floor(key, out=key)
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    del key
+    starts = [np.zeros(1, np.intp)]
+    for a in range(1, len(ys), _BLOCK):
+        key = ys[a - 1:a + _BLOCK] / (r / 8.0)
+        np.floor(key, out=key)
+        starts.append(np.flatnonzero(key[1:] != key[:-1]) + a)
+    starts = np.concatenate(starts)
     counts = np.diff(starts, append=len(ys))
     b0, b1 = ys[starts], ys[starts + counts - 1]
     # interval_image is the hull of f at both ends plus the peak, so it keeps
@@ -170,7 +196,10 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     # f is monotone only to a few ulps (2.2e-16 at tu's cuts), hence the pad.
     every, met = _brackets(m, b0, b1, r, _BRACKET_PAD)
     acc = np.repeat(every, counts)
-    open_ = np.flatnonzero(np.repeat(met & ~every, counts))
+    # the members of the open bins, one run of points each
+    open_ = np.flatnonzero(met & ~every)
+    first, size = starts[open_], counts[open_]
+    open_ = np.arange(size.sum()) + np.repeat(first - (np.cumsum(size) - size), size)
     acc[open_] = _brackets(m, ys[open_], ys[open_], r, 0.0)[0]
     if order is not None:
         acc[order] = acc.copy()
@@ -198,11 +227,15 @@ def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     clustered with the gap _CLUSTER_GAP.
     """
     tree = build_backward_tree(m, x, depth)
-    rows, truncated = list(tree.levels[depth // 2:]), tree.truncated
-    del tree
-    pts = _distinct_points(rows)
-    candidates = len(pts)
-    pts = pts[_returns_mask(m, pts, _PROBE_RADIUS)]
+    # the deep rows are the tail of the one array the tree's rows share; they
+    # are sorted, cleared of repeats and of the points that do not return in
+    # place
+    rows, truncated = tree.levels, tree.truncated
+    pts = rows[0].base[sum(len(r) for r in rows[:depth // 2]):]
+    del tree, rows
+    candidates = _keep(pts)
+    pts = pts[:candidates]
+    pts = pts[:_keep(pts, _returns_mask(m, pts, _PROBE_RADIUS))]
     ivs = tuple(Interval(a, b) for a, b in runs(pts, _CLUSTER_GAP))
     return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, truncated,
                           candidates)

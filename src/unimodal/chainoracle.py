@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -207,19 +208,15 @@ def _reversed(g: GridGraph, pieces):
     last).  On a piece jlo and jhi are monotone, so those cells are one
     run.  Read in rising order, the piece's windows that end before j
     number the first of them and the windows that start at or before j
-    one past the last, and both counts are np.repeat of the piece's
-    sorted window ends.
+    one past the last (`_count_upto`).
     """
-    n, dtype = g.n, g.jlo.dtype
+    n = g.n
     first, last = [], []
     for p0, p1, rising in pieces:
         jlo, jhi = g.jlo[p0:p1 + 1], g.jhi[p0:p1 + 1]
         if not rising:
             jlo, jhi = jlo[::-1], jhi[::-1]
-        count = np.arange(p1 - p0 + 2, dtype=dtype)
-        before = np.repeat(count, np.diff(jhi, prepend=-1, append=n - 1))
-        upto = np.repeat(count, np.diff(jlo, prepend=0, append=n))
-        del count
+        before, upto = _count_upto(jhi, 1, n), _count_upto(jlo, 0, n)
         if rising:
             before += p0
             upto += p0 - 1
@@ -231,6 +228,32 @@ def _reversed(g: GridGraph, pieces):
             first.append(upto)
             last.append(before)
     return first, last
+
+
+def _count_upto(ends: np.ndarray, shift: int, n: int) -> np.ndarray:
+    """For each cell j < n, how many of the rising ends e have e + shift
+    <= j, in the dtype of ends: k from e[k - 1] + shift up to e[k] + shift.
+    The counts are written _BLOCK cells at a time, each block from the
+    ends that fall in it, read _BLOCK at a time, so no scratch outgrows a
+    block however many ends one cell takes.
+    """
+    count = np.empty(n, ends.dtype)
+    k = 0               # the ends below the block
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        j = a           # the cells below j are written
+        while True:
+            e = ends[k:k + _BLOCK] + shift
+            inside = int(np.count_nonzero(e < b))   # the ends rise: a prefix
+            if inside:
+                at = np.concatenate(([j], e[:inside]), dtype=ends.dtype)
+                count[j:at[-1]] = np.repeat(np.arange(k, k + inside, dtype=ends.dtype),
+                                            np.diff(at))
+                j, k = int(at[-1]), k + inside
+            if inside < _BLOCK:
+                break
+        count[j:b] = k
+    return count
 
 
 def _search(lo, hi, seen: np.ndarray, inside: Optional[np.ndarray] = None) -> np.ndarray:
@@ -427,8 +450,9 @@ def _trim(g: GridGraph, pieces, rev, lo, hi):
     return lo, hi
 
 
-def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.ndarray):
-    """Label the strong components of the subgraph on the sorted cells.
+def _components(g: GridGraph, cells: np.ndarray, pre, lab: np.ndarray, rec: np.ndarray):
+    """Label the strong components of the subgraph on the sorted cells,
+    whose reversed windows on each piece are the pairs of arrays pre.
 
     Forward-backward search, one level of parts at a time: every cell
     starts in one part; each level trims the parts, searches forward and
@@ -446,7 +470,6 @@ def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.n
     live ones are renumbered and trimmed on as a level of their own.
     """
     n, dtype = g.n, g.jlo.dtype
-    first, last = rev
     part = np.zeros(len(cells), dtype)
     while len(cells):
         key = part * np.int64(n) + cells
@@ -458,7 +481,7 @@ def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.n
                     (np.searchsorted(key, at + b, side="right") - 1).astype(dtype))
 
         succ = numbers(g.jlo[cells], g.jhi[cells])
-        pred = [numbers(f[cells], b[cells]) for f, b in zip(first, last)]
+        pred = [numbers(a, b) for a, b in pre]
         loop = (g.jlo[cells] <= cells) & (cells <= g.jhi[cells])
         del key
         live = np.ones(len(cells), bool)
@@ -475,6 +498,7 @@ def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.n
         if 2 * np.count_nonzero(live) < len(cells):
             # most of the level is dead: trim on what is left, renumbered
             cells, part = cells[live], part[live]
+            pre = [(a[live], b[live]) for a, b in pre]
             continue
         idx = np.flatnonzero(live)
         if len(idx) == 0:
@@ -502,6 +526,7 @@ def _components(g: GridGraph, rev, cells: np.ndarray, lab: np.ndarray, rec: np.n
         cells = cells[live]
         order = np.lexsort((cells, code))
         cells, code = cells[order], code[order]
+        pre = [(a[live][order], b[live][order]) for a, b in pre]
         part = np.cumsum(np.diff(code, prepend=code[:1]) != 0, dtype=dtype)
 
 
@@ -518,8 +543,9 @@ def recurrent_cells(g: GridGraph):
     reversed windows (`_reversed`, `_reach_back`) kept to the cells it
     reaches.  The other cells are trimmed on runs (`_trim`) until they fit
     in a 32nd of the grid; `_components` finishes the trim cell by cell
-    and splits what is left.  Every search runs on the windows themselves,
-    and no edge list is made.
+    and splits what is left, from those cells' reversed windows alone, so
+    the mask and the labels are made once the grid's are let go.  Every
+    search runs on the windows themselves, and no edge list is made.
     """
     n = g.n
     pieces = _pieces(g)
@@ -532,6 +558,16 @@ def recurrent_cells(g: GridGraph):
     comp[pivot] = True
     _reach_back(rev, pieces, comp, fwd)
     del fwd
+    # the cells outside the pivot's component, the gaps between its runs,
+    # trimmed on runs
+    lo, hi = _mask_runs(comp)
+    lo, hi = np.append(0, hi + 1), np.append(lo - 1, n - 1)
+    keep = lo <= hi
+    lo, hi = lo[keep].astype(g.jlo.dtype), hi[keep].astype(g.jlo.dtype)
+    lo, hi = _trim(g, pieces, rev, lo, hi)
+    cells = _expand(lo, hi)
+    pre = [(f[cells], b[cells]) for f, b in zip(*rev)]
+    del rev
     rec = np.empty(n, bool)
     for a in range(0, n, _BLOCK):
         ar = np.arange(a, min(a + _BLOCK, n), dtype=g.jlo.dtype)
@@ -541,12 +577,8 @@ def recurrent_cells(g: GridGraph):
     lab[comp] = pivot
     if np.count_nonzero(comp) >= 2:
         rec |= comp
-    # the cells outside the pivot's component, trimmed on runs
-    comp = ~comp
-    lo, hi = (a.astype(g.jlo.dtype) for a in _mask_runs(comp))
     del comp
-    lo, hi = _trim(g, pieces, rev, lo, hi)
-    _components(g, rev, _expand(lo, hi), lab, rec)
+    _components(g, cells, pre, lab, rec)
     return rec, lab
 
 
@@ -557,8 +589,9 @@ class ChainClasses:
     Classes are strong components of the eps-chain graph, glued when their
     recurrent cells lie at most three cells apart, ordered by the maximum
     of f over their centers, which on a tower runs from the boundary fixed
-    class up to the attractor.  `graph` is that graph; its `eps` is the one
-    jump size the classes were computed at.
+    class up to the attractor.  Each class is its sorted cells, a slice of
+    one int64 array of every recurrent cell.  `graph` is that graph; its
+    `eps` is the one jump size the classes were computed at.
     """
 
     n: int
@@ -570,9 +603,33 @@ class ChainClasses:
 
     def support(self, i: int):
         """Center-to-center hull of each run of consecutive cells."""
+        return list(self._supports[i])
+
+    @cached_property
+    def _supports(self):
+        # each class's runs split once, however often its support is read
         h = self.graph.h
-        return [Interval((lo + 0.5) * h, (hi + 0.5) * h)
-                for lo, hi in runs(self.classes[i], 1)]
+        return [[Interval((lo + 0.5) * h, (hi + 0.5) * h) for lo, hi in runs(cs, 1)]
+                for cs in self.classes]
+
+
+def _label_runs(rec: np.ndarray, lab: np.ndarray):
+    """The runs of consecutive recurrent cells that share a label, as their
+    first cells, last cells and labels.  The cells are read _BLOCK at a
+    time, each as its label or -1 when it is not recurrent, and a run
+    starts wherever that number changes to a label."""
+    n = len(rec)
+    at, key = [np.zeros(0, np.intp)], [np.zeros(0, lab.dtype)]
+    prev = -1
+    for a in range(0, n, _BLOCK):
+        k = np.where(rec[a:a + _BLOCK], lab[a:a + _BLOCK], -1)
+        change = np.flatnonzero(k != np.concatenate(([prev], k[:-1]), dtype=k.dtype))
+        at.append(change + a)
+        key.append(k[change])
+        prev = k[-1]
+    at, key = np.concatenate(at), np.concatenate(key)
+    run = key >= 0
+    return at[run], (np.append(at[1:], n) - 1)[run], key[run]
 
 
 def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> ChainClasses:
@@ -589,35 +646,36 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     g = build_grid(m, n, eps)
     h = g.h
     rec, lab = recurrent_cells(g)
-    cells = np.flatnonzero(rec).astype(g.jlo.dtype)
-    if len(cells) == 0:
+    first, last, label = _label_runs(rec, lab)
+    del rec, lab
+    if len(first) == 0:
         raise ValueError("no chain-recurrent cells: eps is too fine for this grid")
     # Classes are strong components glued when their recurrent cells lie at
-    # most three cells apart: the labels of recurrent cells, numbered by
-    # rank, linked for each such pair of consecutive cells with two labels.
-    used = np.zeros(len(lab), bool)
-    used[lab[cells]] = True
-    node = np.cumsum(used, dtype=lab.dtype)[lab[cells]] - 1
-    del rec, lab, used
-    glue = np.diff(cells) <= 3
-    glue &= node[1:] != node[:-1]
-    near = np.flatnonzero(glue)
-    comp = _link(int(node.max()) + 1, node[near], node[near + 1])[node]
-    del node, glue
+    # most three cells apart.  Inside a run the label does not change, so
+    # only the last cell of a run and the first of the next can glue: the
+    # labels, numbered by rank, are linked for each such pair with two.
+    labels, node = np.unique(label, return_inverse=True)
+    near = np.flatnonzero((first[1:] - last[:-1] <= 3) & (label[1:] != label[:-1]))
+    comp = _link(len(labels), node[near], node[near + 1])[node]
 
-    # Group cells by class (ascending within each), then order classes by
-    # the maximum of f over their centers, ties by their first cell.
+    # The runs grouped by class, in order within each; the cells of every
+    # run written into one array by a running sum of ones and of the jump
+    # from each run to the next, so no run is expanded on its own.
     order = np.argsort(comp, kind="stable")
-    members, comp = cells[order], comp[order]
-    del cells, order
-    starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-    # f at the centers a block at a time: no temporary outgrows a block
-    f = np.empty(len(members))
-    for a in range(0, len(members), _BLOCK):
-        f[a:a + _BLOCK] = m((members[a:a + _BLOCK] + 0.5) * h)
-    tops = np.maximum.reduceat(f, starts)
-    groups = np.split(members, starts[1:])
-    classes = tuple(groups[i].astype(np.int64) for i in np.lexsort((members[starts], tops)))
+    first, last, comp = first[order], last[order], comp[order]
+    size = last - first + 1
+    at = np.cumsum(size) - size
+    cells = np.ones(int(at[-1] + size[-1]), np.int64)
+    cells[at] = first - np.append(0, last[:-1])
+    np.cumsum(cells, out=cells)
+    starts = at[np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])]
+    bounds = np.append(starts, len(cells))
+    groups = [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    # order classes by the maximum of f over their centers, ties by their
+    # first cell; f is taken a block at a time, so no temporary outgrows a block
+    tops = [max(float(m((cs[a:a + _BLOCK] + 0.5) * h).max()) for a in range(0, len(cs), _BLOCK))
+            for cs in groups]
+    classes = tuple(groups[i] for i in np.lexsort((cells[starts], tops)))
     return ChainClasses(n, classes, g)
 
 

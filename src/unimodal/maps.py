@@ -45,7 +45,7 @@ __all__ = [
 TU_BASE_MU = 3.854
 
 _DEDUP_TOL = 1e-12
-_BLOCK = 1 << 15     # roots compared at once by preimages_array
+_BLOCK = 1 << 15     # roots (preimages_array) or steps (runs) compared at once
 
 
 @dataclass(frozen=True)
@@ -582,11 +582,14 @@ def subtract_intervals(base, holes):
 def runs(values, gap):
     """(first, last) of each run of the sorted array values, as Python
     numbers.  A run ends after each step larger than gap; a step of exactly
-    gap stays inside it.  [] when values is empty.
+    gap stays inside it.  [] when values is empty.  The steps are taken
+    _BLOCK at a time, so no difference outgrows a block.
     """
     if len(values) == 0:
         return []
-    cuts = np.flatnonzero(np.diff(values) > gap)
+    cuts = np.concatenate([np.zeros(0, np.intp)] +
+                          [np.flatnonzero(np.diff(values[a:a + _BLOCK + 1]) > gap) + a
+                           for a in range(0, len(values) - 1, _BLOCK)])
     firsts = values[np.r_[0, cuts + 1]].tolist()
     lasts = values[np.r_[cuts, len(values) - 1]].tolist()
     return list(zip(firsts, lasts))

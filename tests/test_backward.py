@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
 
 from test_maps import reference_interval_image
 from unimodal import (
@@ -14,7 +16,7 @@ from unimodal import (
     salpha,
 )
 import unimodal.backward as backward
-from unimodal.maps import TU_BASE_MU
+from unimodal.maps import TU_BASE_MU, Interval, runs
 from unimodal.backward import _LEVEL_CAP, _RETURN_STEPS, _returns_mask, _thin
 
 
@@ -165,11 +167,113 @@ def test_sorted_and_shuffled_points_get_the_same_verdicts(m):
     assert np.array_equal(back, _returns_mask(m, ys, backward._PROBE_RADIUS))
 
 
+_MAPS = st.one_of(st.floats(1.0, 2.0, exclude_min=True).map(make_tent),
+                 st.floats(0.9, 4.0 / TU_BASE_MU).map(make_tu),
+                 st.floats(3.0, 4.0).map(make_logistic))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=_MAPS, x=st.floats(0.0, 1.0), depth=st.integers(0, 12))
+def test_tree_rows_are_the_rows_built_one_by_one(m, x, depth):
+    """The rows share one array, grown by each row in place; each is the
+    row its own preimage call gives."""
+    tree = build_backward_tree(m, x, depth)
+    row = np.array([x], dtype=float)
+    assert np.array_equal(tree.levels[0], row)
+    for k in range(1, depth + 1):
+        row = m.preimages_array(row)
+        assert np.array_equal(tree.row(k), row)
+        assert tree.row(k).base is tree.levels[0].base
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                       max_size=150),
+       data=st.data(), block=st.integers(1, 64))
+@example(values=[], data=None, block=1)
+def test_points_kept_in_place_equal_joined_copies(values, data, block):
+    """Sorting out repeats and moving a mask's points to the front, a block
+    at a time in the array itself, gives the copies np.unique and a boolean
+    index make."""
+    pts = np.array(values, dtype=float)
+    want = np.unique(pts)
+    with mock.patch.object(backward, "_BLOCK", block):
+        kept = backward._keep(pts)
+        assert np.array_equal(pts[:kept], want)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=kept, max_size=kept))
+                        if data else [], bool)
+        assert np.array_equal(pts[:backward._keep(pts[:kept], mask)], want[mask])
+
+
+@st.composite
+def _clustered_points(draw):
+    # points a bin width apart or less around a few centres, the ends and c
+    r = draw(st.sampled_from([2e-3, 1e-5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.uniform(0.0, 1.0, draw(st.integers(1, 5)))
+    ys = (centres[:, None] + rng.uniform(-r / 4, r / 4, (len(centres), 30))).ravel()
+    return np.sort(np.r_[np.clip(ys, 0.0, 1.0), 0.0, 1.0, 0.5]), r
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_clustered_points(), block=st.integers(1, 64), shuffled=st.booleans())
+def test_bins_cut_a_block_at_a_time_equal_one_key_array(case, block, shuffled):
+    """The probe's bins, cut a block at a time, are the bins of one floor
+    of the whole array's keys; a shuffled input, found out of order a
+    block at a time, gets the verdicts of the sorted one."""
+    ys, r = case
+    m = make_tent(1.8)
+    key = np.floor(ys / (r / 8.0))
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    ends = np.r_[starts[1:], len(ys)] - 1
+    want = _returns_mask(m, ys, r)
+    perm = np.random.default_rng(len(ys)).permutation(len(ys)) if shuffled else np.arange(len(ys))
+    seen, brackets = [], backward._brackets
+
+    def spy(m, b0, b1, r, pad):
+        if pad:
+            seen.append((b0.copy(), b1.copy()))
+        return brackets(m, b0, b1, r, pad)
+
+    with mock.patch.object(backward, "_BLOCK", block), mock.patch.object(backward, "_brackets", spy):
+        got = _returns_mask(m, ys[perm], r)
+    assert np.array_equal(got, want[perm])
+    (b0, b1), = seen
+    assert np.array_equal(b0, ys[starts]) and np.array_equal(b1, ys[ends])
+
+
+def reference_salpha(m, x, depth):
+    # the deep rows joined into one copy, sorted, repeats masked out, and
+    # the points that return picked out by a boolean index
+    tree = build_backward_tree(m, x, depth)
+    pts = np.concatenate(tree.levels[depth // 2:])
+    pts.sort()
+    pts = pts[np.r_[True, pts[1:] != pts[:-1]][:len(pts)]]
+    return len(pts), pts[_returns_mask(m, pts, backward._PROBE_RADIUS)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=_MAPS, x=st.floats(0.0, 1.0), depth=st.integers(0, 10), block=st.integers(1, 64))
+def test_salpha_in_place_equals_joined_copies(m, x, depth, block):
+    """salpha sorts out the repeats and the survivors of the probe in place
+    on the tree's own array, a block at a time; any block size gives the
+    candidates, survivors and clusters of the joined copies."""
+    candidates, kept = reference_salpha(m, x, depth)
+    with mock.patch.object(backward, "_BLOCK", block):
+        est = salpha(m, x, depth)
+    assert est.candidates == candidates
+    assert est.n_points == len(kept)
+    assert est.intervals == tuple(Interval(a, b) for a, b in runs(kept, backward._CLUSTER_GAP))
+
+
 def test_salpha_peak_is_its_tree_and_points_plus_two_per_point(traced_peak):
-    """The tree rows and the deep points are what salpha holds; on top of
-    them it may hold two 8-byte arrays of the points: the rows'
-    concatenation before duplicates go, and the probe's bin keys.  Sorting
-    copies, an argsort and an int64 bin index held 41 bytes a point."""
+    """The tree rows and a copy of the deep points, with two bytes a point
+    on top, bound what salpha holds: the rows are one array, and the deep
+    points are sorted out on its tail, so no copy of them is made.  It
+    reads 4.1 bytes a point below that bound's base.  A copy of the deep
+    points with two 8-byte arrays of them on top (the rows' join, the
+    probe's bin keys) was the old bound; sorting copies, an argsort and an
+    int64 bin index held 41 bytes a point over the base."""
     m = make_tent(2.0)
     salpha(m, 0.5, 10)
     tree = build_backward_tree(m, 0.5, 24)
@@ -178,20 +282,24 @@ def test_salpha_peak_is_its_tree_and_points_plus_two_per_point(traced_peak):
     points = len(pts)
     del tree, pts
     assert points > 1_000_000
-    assert traced_peak(salpha, m, 0.5, 24) < held + 2 * 8 * points
+    assert traced_peak(salpha, m, 0.5, 24) < held + 2 * points
 
 
 def test_salpha_peak_is_two_arrays_of_its_points(traced_peak):
-    """salpha drops the tree before it joins the deep rows, and the rows
-    before it sorts: at most two 8-byte arrays of the points are alive (the
-    join and the distinct points, or the points and the probe's bin keys),
-    with four bytes a point on top for masks.  Holding the tree through
-    the join and the copy without repeats took 25 bytes a point."""
+    """One 8-byte array of the points is alive: the tree's rows, grown in
+    place row by row, whose deep tail is sorted, cleared of repeats and
+    of the points that do not return in place.  On top of it the peak is
+    the last row's roots as the tree is built (a capped row of 200,000
+    points has 400,000 roots and their laps), 3.9 bytes a point here, then
+    the probe's byte-a-point masks.  It reads 11.9 bytes a point, within
+    13; the joined rows beside the distinct points, or the points beside
+    the probe's bin keys, took 18.0, and holding the tree through the join
+    25."""
     m = make_tent(2.0)
     salpha(m, 0.5, 10)
     points = len(build_backward_tree(m, 0.5, 24).deep_points(12))
     assert points > 1_000_000
-    assert traced_peak(salpha, m, 0.5, 24) < 2 * 8 * points + 4 * points
+    assert traced_peak(salpha, m, 0.5, 24) < 8 * points + 5 * points
 
 
 @settings(max_examples=40, deadline=None)

@@ -295,13 +295,19 @@ def reference_recurrent_cells(g):
 
 
 def reference_chain_classes(m, n, epsilons):
-    h = 1.0 / n
     rec_all = None
     for e in epsilons:
         fine = build_grid(m, n, e)
         rec, lab = reference_recurrent_cells(fine)
         rec_all = rec if rec_all is None else rec_all & rec
-    cells = np.flatnonzero(rec_all)
+    return ChainClasses(n, reference_grouping(m, n, rec_all, lab), fine)
+
+
+def reference_grouping(m, n, rec, lab):
+    # cell by cell: a Python union-find over labels and over pairs of
+    # consecutive recurrent cells at most three apart
+    h = 1.0 / n
+    cells = np.flatnonzero(rec)
     parent = np.arange(int(cells[-1]) + 1, dtype=np.int64)
 
     def find(x):
@@ -327,8 +333,7 @@ def reference_chain_classes(m, n, epsilons):
         groups.setdefault(find(int(c)), []).append(int(c))
     fvals = dict(zip(cells.tolist(), m((cells + 0.5) * h).tolist()))
     ordered = sorted(groups.values(), key=lambda cs: max(fvals[c] for c in cs))
-    classes = tuple(np.array(sorted(cs), dtype=np.int64) for cs in ordered)
-    return ChainClasses(n, classes, fine)
+    return tuple(np.array(sorted(cs), dtype=np.int64) for cs in ordered)
 
 
 def reference_conley_graph(cc):
@@ -390,6 +395,38 @@ def test_finest_rung_oracle_matches_reference(case):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     assert conley_graph(cc) == reference_conley_graph(ref)
+
+
+@st.composite
+def _labelled_cells(draw):
+    # recurrent cells and labels in runs, a few labels shared by runs apart
+    n = draw(st.integers(100, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rec = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    rec[rng.integers(n)] = True
+    run = np.cumsum(rng.random(n) < draw(st.sampled_from([0.05, 0.3, 1.0])))
+    pool = rng.integers(0, n, draw(st.integers(1, 6)))
+    lab = pool[rng.integers(0, len(pool), run[-1] + 1)][run].astype(np.int32)
+    return draw(st.floats(1.01, 2.0)), n, rec, lab
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_labelled_cells(), block=st.integers(1, 64))
+def test_run_scan_at_any_block_groups_as_the_cell_wise_reference(case, block):
+    """chain_classes scans the recurrent cells and their labels a block at
+    a time into runs, and glues only the ends of consecutive runs; runs
+    across the blocks' ends, labels shared by runs far apart and classes
+    tied on f give the classes of the cell-by-cell union-find."""
+    s, n, rec, lab = case
+    m = make_tent(s)
+    with mock.patch.object(chainoracle, "recurrent_cells", lambda g: (rec.copy(), lab.copy())), \
+            mock.patch.object(chainoracle, "_BLOCK", block):
+        cc = chain_classes(m, n)
+    want = reference_grouping(m, n, rec, lab)
+    assert len(cc.classes) == len(want)
+    for got, cells in zip(cc.classes, want):
+        assert got.dtype == cells.dtype
+        assert np.array_equal(got, cells)
 
 
 @settings(max_examples=60, deadline=None)
@@ -495,17 +532,26 @@ def test_reversed_windows_hold_the_predecessors(m, k):
 
 @pytest.mark.parametrize("s", [2.0, 1.4])
 def test_chain_classes_peak_is_its_arrays_plus_four_per_cell(s, traced_peak):
-    """The grid's two int32 windows and the int64 classes are kept; the
-    scratch on top stays within four 8-byte arrays of the n cells.  Sorting
-    the labels with np.unique and keeping every gluing pair held about 77
-    bytes a cell on top at s = 2."""
+    """The grid's two int32 windows and the int64 classes are kept.  The
+    peak is inside recurrent_cells: its mask and labels go once they are
+    scanned into runs, before the classes are written, so the grouping
+    adds nothing to the grid and recurrent_cells' own peak but a few
+    Python objects.  On top of what is kept that is 19.9 bytes a cell at
+    s = 1.4 and 15.2 at s = 2, within 21; grouping cell by cell (an int64
+    flatnonzero, an argsort, f at every member) held 23.1 and 16.1, and
+    sorting the labels with np.unique and keeping every gluing pair held
+    about 77 at s = 2."""
     n = 200_000
     m = make_tent(s)
     chain_classes(m, 1000)
     cc = chain_classes(m, n)
     kept = cc.graph.jlo.nbytes + cc.graph.jhi.nbytes + sum(c.nbytes for c in cc.classes)
     del cc
-    assert traced_peak(chain_classes, m, n) < kept + 4 * 8 * n
+    g = build_grid(m, n, 2 / n)
+    own = traced_peak(recurrent_cells, g)
+    peak = traced_peak(chain_classes, m, n)
+    assert peak < kept + 21 * n
+    assert peak < g.jlo.nbytes + g.jhi.nbytes + own + 4096
 
 
 # ---------------------------------------------------------------------------
@@ -607,28 +653,34 @@ def test_peeled_components_equal_whole_graph_components(case):
 @pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
 def test_recurrent_cells_peak_is_thirty_bytes_a_cell(s, traced_peak):
     """The reversed windows, two int32 arrays on each of the two laps (16
-    bytes a cell), the int32 labels (4) and a byte-a-cell mask or two
-    stay through the call.  On top of them the peak is the backward
-    search's frontier at s = 2, where the peel holds every cell: 23.2
-    bytes a cell.  At s = 1.4 and 1.8 it is the run trim: 25.2."""
+    bytes a cell), and two byte-a-cell masks stay through the peel; the
+    int32 labels and the recurrent mask are made only once the reversed
+    windows of the trimmed cells are gathered and the grid's are gone.
+    On top of them the peak is the peel's backward search, a level of
+    found cells and one block's windows: 5.2 bytes a cell here at s = 2,
+    2.7 at n = 1e6.  The peaks are 22.0, 22.6 and 23.2 bytes a cell at
+    s = 1.4, 1.8, 2, within 24; with the labels made before the run trim
+    and the reversed windows repeated over whole laps, the run trim set
+    the peak at s = 1.4 and 1.8, 25.2."""
     n = 200_000
     m = make_tent(s)
     recurrent_cells(build_grid(m, 1000, 2 / 1000))
     g = build_grid(m, n, 2 / n)
-    assert traced_peak(recurrent_cells, g) < 30 * n
+    assert traced_peak(recurrent_cells, g) < 24 * n
 
 
 @pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
 def test_recurrent_cells_peak_does_not_grow_with_eps(s, traced_peak):
     """At 32h the windows are 64 cells wide, and the bound is the one of
     2h: the searches expand merged hulls and cut reversed windows, so no
-    edge list is made.  Expanding every window into a CSR and its reverse
-    held about 64 edges a cell twice."""
+    edge list is made (22.0, 22.6 and 23.4 bytes a cell).  Expanding
+    every window into a CSR and its reverse held about 64 edges a cell
+    twice."""
     n = 200_000
     m = make_tent(s)
     recurrent_cells(build_grid(m, 1000, 32 / 1000))
     g = build_grid(m, n, 32 / n)
-    assert traced_peak(recurrent_cells, g) < 30 * n
+    assert traced_peak(recurrent_cells, g) < 24 * n
 
 
 @settings(max_examples=40, deadline=None)
@@ -650,6 +702,48 @@ def test_any_search_step_gives_the_same_components(case, step):
     assert np.array_equal(mask, want_mask)
     pairs = np.unique(np.stack([lab, want_lab]), axis=1)
     assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
+
+
+def reference_reversed(g, pieces):
+    # per piece, np.repeat of the window counts over the whole lap
+    n, dtype = g.n, g.jlo.dtype
+    first, last = [], []
+    for p0, p1, rising in pieces:
+        jlo, jhi = g.jlo[p0:p1 + 1], g.jhi[p0:p1 + 1]
+        if not rising:
+            jlo, jhi = jlo[::-1], jhi[::-1]
+        count = np.arange(p1 - p0 + 2, dtype=dtype)
+        before = np.repeat(count, np.diff(jhi, prepend=-1, append=n - 1))
+        upto = np.repeat(count, np.diff(jlo, prepend=0, append=n))
+        if rising:
+            first.append(before + p0)
+            last.append(upto + (p0 - 1))
+        else:
+            first.append(p1 + 1 - upto)
+            last.append(p1 - before)
+    return first, last
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_peel_case(), block=st.integers(1, 64))
+@example(case=(make_tent(1.5), 1000, 1e300), block=7)
+@example(case=(make_tent(1.5), 1000, 1.6), block=1)
+def test_reversed_windows_filled_a_block_at_a_time_equal_one_repeat(case, block):
+    """Each block of reversed windows is written from the window ends that
+    fall in it, read a block at a time; any block size gives the whole
+    lap's np.repeat, in the grid's dtype, whole-grid windows (every end in
+    one block) and windows with gaps between them included."""
+    m, n, k = case
+    n = min(n, 3_000)
+    g = build_grid(m, n, max(k / n, 1.5 / n))
+    pieces = chainoracle._pieces(g)
+    with mock.patch.object(chainoracle, "_BLOCK", block):
+        got = chainoracle._reversed(g, pieces)
+    for have, want in zip(got, reference_reversed(g, pieces)):
+        assert len(have) == len(want) == len(pieces)
+        for a, b in zip(have, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=40, deadline=None)

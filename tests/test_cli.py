@@ -104,6 +104,17 @@ class TestVerify:
         assert len(doc["classes"]) == 2
         assert doc["classes"] == want
 
+    def test_each_class_support_is_split_once(self, capsys, monkeypatch):
+        # the report's classes and the match read the same supports
+        calls = []
+        split = unimodal.chainoracle.runs
+        monkeypatch.setattr(unimodal.chainoracle, "runs",
+                            lambda values, gap: calls.append(len(values)) or split(values, gap))
+        _, out, _ = run(["verify", "--s", "1.3", "--n", "20000", "--json"], capsys)
+        doc = json.loads(out)
+        assert len(doc["classes"]) == len(doc["match"]["pairs"]) == 3
+        assert len(calls) == 3
+
     def test_expansion_past_budget_fails_with_exit_1(self, capsys):
         # just above sqrt(2) the cover time outruns the step budget
         code, out, _ = run(["verify", "--s", "1.414214", "--n", "20000"], capsys)

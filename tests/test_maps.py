@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from unimodal import (
     subtract_intervals,
     tu_skeleton,
 )
-from unimodal import backward
+from unimodal import backward, maps
 from unimodal.backward import build_backward_tree
 from unimodal.maps import _DEDUP_TOL, TU_BASE_MU, MapStack, bisect_root, runs
 
@@ -620,3 +621,42 @@ def test_runs_of_floats_are_the_loop(gap, ks, noise):
     got = runs(values, gap)
     assert got == reference_runs(values.tolist(), gap)
     assert all(type(v) is float for r in got for v in r)
+
+
+def reference_diff_runs(values, gap):
+    # every step of the whole array at once
+    if len(values) == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(values) > gap)
+    return list(zip(values[np.r_[0, cuts + 1]].tolist(),
+                    values[np.r_[cuts, len(values) - 1]].tolist()))
+
+
+@st.composite
+def _stepped_values(draw):
+    # gaps of 1 and 2 on ints, 5e-3 on floats; steps of exactly the gap and
+    # of nothing come up often, and up to 200 values cross many blocks
+    gap = draw(st.sampled_from([1, 2, 5e-3]))
+    if gap == 5e-3:
+        step = st.one_of(st.sampled_from([0.0, 5e-3, 4e-3, 6e-3, 0.25]), st.floats(0.0, 0.02))
+        values = np.cumsum(np.array(draw(st.lists(step, max_size=200)), float))
+    else:
+        steps = np.array(draw(st.lists(st.integers(0, 5), max_size=200)), np.int64)
+        values = draw(st.integers(-1000, 1000)) + np.cumsum(steps)
+    return values, gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_stepped_values(), block=st.integers(1, 64))
+@example(case=(np.zeros(0, np.int64), 1), block=1)
+@example(case=(np.array([0.5]), 5e-3), block=1)
+@example(case=(np.array([0, 1, 2, 5, 6, 9]), 2), block=2)
+def test_runs_cut_a_block_at_a_time_equal_one_diff(case, block):
+    """Steps taken a block at a time, runs crossing the blocks' ends, give
+    the runs of one np.diff of the whole array, in the values' own type."""
+    values, gap = case
+    with mock.patch.object(maps, "_BLOCK", block):
+        got = runs(values, gap)
+    want = reference_diff_runs(values, gap)
+    assert got == want
+    assert all(type(v) is type(w) for r, q in zip(got, want) for v, w in zip(r, q))
