@@ -63,7 +63,7 @@ __all__ = [
 _MIN_CELLS = 100
 _INT32_MAX = np.iinfo(np.int32).max
 _BLOCK = 1 << 15     # windows or cells handled at once
-_STEP = 1 << 13      # frontier cells a search step expands at once
+_STEP = 1 << 13      # frontier cells _reach_back expands at once
 
 
 @dataclass(frozen=True)

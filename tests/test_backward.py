@@ -4,7 +4,6 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from test_maps import reference_interval_image
 from unimodal import (
     build_backward_tree,
     compare_salpha,
@@ -81,23 +80,9 @@ def test_thin_leaves_a_row_within_the_cap():
     assert _thin(row, 5) is row
 
 
-def reference_returns(m, ys, r, steps=40):
-    # one probe at a time through the branch-walking interval image
-    out = []
-    for y in ys:
-        a, b = max(m.domain.lo, y - r), min(m.domain.hi, y + r)
-        for _ in range(steps):
-            a, b = reference_interval_image(m, a, b)
-            if a <= y <= b:
-                out.append(True)
-                break
-        else:
-            out.append(False)
-    return np.array(out)
-
-
-def per_point_returns(m, ys, r):
-    # one probe per point, all iterated at once through the array image
+def reference_returns(m, ys, r):
+    # one probe per point: True where some image of [y - r, y + r] within
+    # the domain holds y, within _RETURN_STEPS forward steps
     lo = np.clip(ys - r, m.domain.lo, m.domain.hi)
     hi = np.clip(ys + r, m.domain.lo, m.domain.hi)
     acc = np.zeros(len(ys), bool)
@@ -123,14 +108,35 @@ class TestReturnProbe:
                                    make_logistic(3.9)],
                              ids=lambda m: m.label.split("|")[0])
     @pytest.mark.parametrize("r", [2e-3, 1e-5])
-    def test_clustered_points_match_per_point_reference(self, m, r):
-        # many points per bin of the bracket, the domain ends and c, unsorted
+    def test_clustered_points_match_per_point_reference(self, m, r, monkeypatch):
+        """Many points per bin of the bracket, the domain ends and c,
+        unsorted.  The order is checked and the bins cut a block at a time,
+        one point a block included.  Any bins of consecutive sorted points
+        give these verdicts, so the bins are a cost that only a spy sees:
+        the bracket loop gets one bin per key of r/8 of the sorted points."""
         rng = np.random.default_rng(11)
         centres = rng.uniform(0.0, 1.0, 20)
         ys = (centres[:, None] + rng.uniform(-r / 8, r / 8, (20, 100))).ravel()
         ys = rng.permutation(np.r_[np.clip(ys, 0.0, 1.0), 0.0, 1.0, m.critical])
-        got = _returns_mask(m, ys, r)
-        assert got.tolist() == reference_returns(m, ys, r).tolist()
+        want = reference_returns(m, ys, r).tolist()
+        pts = np.sort(ys)
+        key = np.floor(pts / (r / 8.0))
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        ends = np.r_[starts[1:], len(pts)] - 1
+        seen, brackets = [], backward._brackets
+
+        def spy(m, b0, b1, r, pad):
+            if pad:
+                seen.append((b0.copy(), b1.copy()))
+            return brackets(m, b0, b1, r, pad)
+
+        monkeypatch.setattr(backward, "_brackets", spy)
+        for block in (1, 64, backward._BLOCK):
+            with mock.patch.object(backward, "_BLOCK", block):
+                assert _returns_mask(m, ys, r).tolist() == want
+            (b0, b1), = seen
+            assert np.array_equal(b0, pts[starts]) and np.array_equal(b1, pts[ends])
+            seen.clear()
 
     def test_empty_points(self):
         out = _returns_mask(make_tu(1.0), np.empty(0), 2e-3)
@@ -152,21 +158,6 @@ class TestReturnProbe:
         assert 0 < sum(seen) < 0.01 * est.candidates
 
 
-@pytest.mark.parametrize("m", [make_tent(1.8), make_tent(2.0), make_tu(1.0), make_tu(1.003),
-                               make_logistic(3.9)],
-                         ids=lambda m: m.label.split("|")[0])
-def test_sorted_and_shuffled_points_get_the_same_verdicts(m):
-    # deep_points hands the probe sorted points, which skip the sort; any
-    # other order is sorted first, and its verdicts go back in its order
-    ys = build_backward_tree(m, 0.3, 16).deep_points(8)
-    assert len(ys) > 1000 and np.all(np.diff(ys) > 0)
-    perm = np.random.default_rng(5).permutation(len(ys))
-    shuffled = _returns_mask(m, ys[perm], backward._PROBE_RADIUS)
-    back = np.empty_like(shuffled)
-    back[perm] = shuffled
-    assert np.array_equal(back, _returns_mask(m, ys, backward._PROBE_RADIUS))
-
-
 _MAPS = st.one_of(st.floats(1.0, 2.0, exclude_min=True).map(make_tent),
                  st.floats(0.9, 4.0 / TU_BASE_MU).map(make_tu),
                  st.floats(3.0, 4.0).map(make_logistic))
@@ -186,82 +177,22 @@ def test_tree_rows_are_the_rows_built_one_by_one(m, x, depth):
         assert tree.row(k).base is tree.levels[0].base
 
 
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
-                       max_size=150),
-       data=st.data(), block=st.integers(1, 64))
-@example(values=[], data=None, block=1)
-def test_points_kept_in_place_equal_joined_copies(values, data, block):
-    """Sorting out repeats and moving a mask's points to the front, a block
-    at a time in the array itself, gives the copies np.unique and a boolean
-    index make."""
-    pts = np.array(values, dtype=float)
-    want = np.unique(pts)
-    with mock.patch.object(backward, "_BLOCK", block):
-        kept = backward._keep(pts)
-        assert np.array_equal(pts[:kept], want)
-        mask = np.array(data.draw(st.lists(st.booleans(), min_size=kept, max_size=kept))
-                        if data else [], bool)
-        assert np.array_equal(pts[:backward._keep(pts[:kept], mask)], want[mask])
-
-
-@st.composite
-def _clustered_points(draw):
-    # points a bin width apart or less around a few centres, the ends and c
-    r = draw(st.sampled_from([2e-3, 1e-5]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    centres = rng.uniform(0.0, 1.0, draw(st.integers(1, 5)))
-    ys = (centres[:, None] + rng.uniform(-r / 4, r / 4, (len(centres), 30))).ravel()
-    return np.sort(np.r_[np.clip(ys, 0.0, 1.0), 0.0, 1.0, 0.5]), r
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=_clustered_points(), block=st.integers(1, 64), shuffled=st.booleans())
-def test_bins_cut_a_block_at_a_time_equal_one_key_array(case, block, shuffled):
-    """The probe's bins, cut a block at a time, are the bins of one floor
-    of the whole array's keys; a shuffled input, found out of order a
-    block at a time, gets the verdicts of the sorted one."""
-    ys, r = case
-    m = make_tent(1.8)
-    key = np.floor(ys / (r / 8.0))
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    ends = np.r_[starts[1:], len(ys)] - 1
-    want = _returns_mask(m, ys, r)
-    perm = np.random.default_rng(len(ys)).permutation(len(ys)) if shuffled else np.arange(len(ys))
-    seen, brackets = [], backward._brackets
-
-    def spy(m, b0, b1, r, pad):
-        if pad:
-            seen.append((b0.copy(), b1.copy()))
-        return brackets(m, b0, b1, r, pad)
-
-    with mock.patch.object(backward, "_BLOCK", block), mock.patch.object(backward, "_brackets", spy):
-        got = _returns_mask(m, ys[perm], r)
-    assert np.array_equal(got, want[perm])
-    (b0, b1), = seen
-    assert np.array_equal(b0, ys[starts]) and np.array_equal(b1, ys[ends])
-
-
-def reference_salpha(m, x, depth):
-    # the deep rows joined into one copy, sorted, repeats masked out, and
-    # the points that return picked out by a boolean index
-    tree = build_backward_tree(m, x, depth)
-    pts = np.concatenate(tree.levels[depth // 2:])
-    pts.sort()
-    pts = pts[np.r_[True, pts[1:] != pts[:-1]][:len(pts)]]
-    return len(pts), pts[_returns_mask(m, pts, backward._PROBE_RADIUS)]
-
-
 @settings(max_examples=40, deadline=None)
 @given(m=_MAPS, x=st.floats(0.0, 1.0), depth=st.integers(0, 10), block=st.integers(1, 64))
-def test_salpha_in_place_equals_joined_copies(m, x, depth, block):
-    """salpha sorts out the repeats and the survivors of the probe in place
-    on the tree's own array, a block at a time; any block size gives the
-    candidates, survivors and clusters of the joined copies."""
-    candidates, kept = reference_salpha(m, x, depth)
+@example(m=make_tent(1.8), x=0.0, depth=6, block=1)
+def test_salpha_keeps_the_distinct_deep_points_that_return(m, x, depth, block):
+    """salpha sees the distinct points of rows depth // 2 on, keeps those
+    whose probe returns and clusters them; it sorts out the repeats and the
+    survivors in place on the tree's own array and bins the probe's points
+    a block at a time, and any block size gives the same estimate.  At
+    x = 0 every row holds 0 and 1, so repeats meet across the blocks."""
+    tree = build_backward_tree(m, x, depth)
+    pts = np.unique(np.concatenate(tree.levels[depth // 2:]))
+    kept = pts[reference_returns(m, pts, backward._PROBE_RADIUS)]
     with mock.patch.object(backward, "_BLOCK", block):
+        assert np.array_equal(tree.deep_points(depth // 2), pts)
         est = salpha(m, x, depth)
-    assert est.candidates == candidates
+    assert est.candidates == len(pts)
     assert est.n_points == len(kept)
     assert est.intervals == tuple(Interval(a, b) for a, b in runs(kept, backward._CLUSTER_GAP))
 
@@ -302,24 +233,12 @@ def test_salpha_peak_is_two_arrays_of_its_points(traced_peak):
     assert traced_peak(salpha, m, 0.5, 24) < 8 * points + 5 * points
 
 
-@settings(max_examples=40, deadline=None)
-@given(m=st.one_of(st.floats(1.0, 2.0, exclude_min=True).map(make_tent),
-                   st.floats(0.9, 4.0 / TU_BASE_MU).map(make_tu),
-                   st.floats(3.0, 4.0).map(make_logistic)),
-       x=st.floats(0.0, 1.0), depth=st.integers(0, 14))
-def test_salpha_sees_the_deep_points_of_its_tree(m, x, depth):
-    """salpha and deep_points share one helper: the probe sees exactly the
-    distinct points of rows depth // 2 on."""
-    want = len(build_backward_tree(m, x, depth).deep_points(depth // 2))
-    assert salpha(m, x, depth).candidates == want
-
-
 @settings(max_examples=15, deadline=None)
 @given(s=st.floats(1.0, 2.0, exclude_min=True))
 def test_bracketed_probe_equals_per_point_probe(s):
     m = make_tent(s)
     ys = build_backward_tree(m, 0.5, 20).deep_points(10)
-    assert np.array_equal(_returns_mask(m, ys, 2e-3), per_point_returns(m, ys, 2e-3))
+    assert np.array_equal(_returns_mask(m, ys, 2e-3), reference_returns(m, ys, 2e-3))
 
 
 class TestPrediction:

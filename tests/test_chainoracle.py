@@ -279,8 +279,40 @@ def test_analytic_sets_inside_oracle(s):
 
 
 # ---------------------------------------------------------------------------
-# reference oracle: every rung built, masks intersected, Python union-find
+# One reference per layer, each stated in the mathematics: the windows by
+# their formula, the strong components by scipy on the whole edge list, the
+# classes by a cell-by-cell union-find, the Conley edges by a search from
+# each class's halo, and the predecessors of each cell by a loop over the
+# windows.  The block-at-a-time paths are reached through the public
+# functions with _BLOCK and _STEP patched to a few cells.  The private names
+# read below each stand for a contract that cannot show at test scale:
+# - _BLOCK, _STEP: their defaults hold the whole of a test-sized grid;
+# - _index_dtype: the index dtype widens only past 2^31 cells;
+# - _expand: it counts in the dtype of the cell numbers, which only
+#   overlapping runs past 2^31 cells would overflow;
+# - _pieces, _reversed: a lap cut too often gives the same components, only
+#   slower, so the laps and their predecessor runs are pinned here;
+# - _components: the cells the run trim leaves it are a cost, not an output.
 # ---------------------------------------------------------------------------
+
+def reference_grid(m, n, eps):
+    # the whole grid at once: float64 centers and images, cast to int64
+    h = 1.0 / n
+    fc = m((np.arange(n) + 0.5) * h)
+    slack = eps - h
+    jlo = np.clip(np.ceil((fc - slack) / h - 0.5), 0, n - 1).astype(np.int64)
+    jhi = np.clip(np.floor((fc + slack) / h - 0.5), 0, n - 1).astype(np.int64)
+    return jlo, jhi
+
+
+def reference_expand(lo, hi):
+    # the edge list of the windows lo .. hi: one int64 repeat and arange
+    counts = (hi - lo + 1).clip(min=0)
+    ends = np.cumsum(counts)
+    cells = np.repeat(lo - (ends - counts), counts)
+    cells += np.arange(len(cells), dtype=np.int64)
+    return cells, ends
+
 
 def reference_recurrent_cells(g):
     # scipy's strong components of the whole graph, every window expanded
@@ -292,15 +324,6 @@ def reference_recurrent_cells(g):
     sizes = np.bincount(lab, minlength=ncomp)
     ar = np.arange(g.n)
     return (sizes >= 2)[lab] | ((g.jlo <= ar) & (ar <= g.jhi)), lab
-
-
-def reference_chain_classes(m, n, epsilons):
-    rec_all = None
-    for e in epsilons:
-        fine = build_grid(m, n, e)
-        rec, lab = reference_recurrent_cells(fine)
-        rec_all = rec if rec_all is None else rec_all & rec
-    return ChainClasses(n, reference_grouping(m, n, rec_all, lab), fine)
 
 
 def reference_grouping(m, n, rec, lab):
@@ -337,6 +360,8 @@ def reference_grouping(m, n, rec, lab):
 
 
 def reference_conley_graph(cc):
+    # i -> j when a cell within two cells of class i, outside it, reaches
+    # class j: a breadth-first search over the edge list
     g = cc.graph
     in_class = np.full(g.n, -1, dtype=np.int64)
     for i, cs in enumerate(cc.classes):
@@ -352,13 +377,7 @@ def reference_conley_graph(cc):
         seen[near] = True
         frontier = near
         while len(frontier):
-            lo, hi = g.jlo[frontier], g.jhi[frontier]
-            counts = (hi - lo + 1).clip(min=0)
-            total = int(counts.sum())
-            if total == 0:
-                break
-            offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-            nxt = np.unique(np.repeat(lo, counts) + offs)
+            nxt = np.unique(reference_expand(g.jlo[frontier], g.jhi[frontier])[0])
             nxt = nxt[~seen[nxt]]
             seen[nxt] = True
             frontier = nxt
@@ -368,33 +387,327 @@ def reference_conley_graph(cc):
     return sorted(edges)
 
 
+def reference_predecessors(g, p0, p1):
+    # per cell j, the first and last cell of p0 .. p1 whose window holds j
+    first = np.full(g.n, p1 + 1, np.int64)
+    last = np.full(g.n, p0 - 1, np.int64)
+    for i in range(p0, p1 + 1):
+        first[g.jlo[i]:g.jhi[i] + 1] = np.minimum(first[g.jlo[i]:g.jhi[i] + 1], i)
+        last[g.jlo[i]:g.jhi[i] + 1] = i
+    return first, last
+
+
+_B = chainoracle._BLOCK
+_MAPS = {"tent": (make_tent, 1.0, 2.0), "logistic": (make_logistic, 2.5, 4.0),
+         "tu": (make_tu, 0.9, 4.0 / TU_BASE_MU)}
+
+
+# ---------------------------------------------------------------------------
+# the grid
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _grid_case(draw):
+    make, lo, hi = _MAPS[draw(st.sampled_from(sorted(_MAPS)))]
+    m = make(draw(st.floats(lo, hi, exclude_min=True)))
+    block = draw(st.integers(1, 64))
+    n = draw(st.one_of(st.integers(100, 500),
+                       st.builds(lambda k, d: max(100, k * block + d), st.integers(2, 20),
+                                 st.sampled_from([-1, 0, 1]))))
+    eps = draw(st.one_of(st.floats(1.5, 64.0).map(lambda k: k / n),
+                         st.floats(1.5 / n, 1e300)))
+    return m, n, max(eps, 1.5 * (1.0 / n)), block
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_grid_case())
+@example(case=(make_tent(2.0), 129, 1e300, 64))
+@example(case=(make_tu(1.0), 127, 1.5 * (1.0 / 127), 64))
+@example(case=(make_logistic(4.0), 128, 2.0 / 128, 64))
+def test_blockwise_grid_equals_whole_array_grid(case):
+    """Windows filled a block at a time, the last block short or one cell
+    long, equal the whole-array formula value for value, as int32."""
+    m, n, eps, block = case
+    with mock.patch.object(chainoracle, "_BLOCK", block):
+        g = build_grid(m, n, eps)
+    jlo, jhi = reference_grid(m, n, eps)
+    assert g.jlo.dtype == g.jhi.dtype == np.int32
+    assert np.array_equal(g.jlo, jlo)
+    assert np.array_equal(g.jhi, jhi)
+
+
+def test_index_dtype_widens_past_int32():
+    # the grid size decides: int32 while every cell number, window bound
+    # and count of cells fits in it
+    assert chainoracle._index_dtype(0) is np.int32
+    assert chainoracle._index_dtype(2**31 - 1) is np.int32
+    assert chainoracle._index_dtype(2**31) is np.int64
+    assert chainoracle._index_dtype(62 * 10**9) is np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(1.01, 2.0), n=st.integers(100, 50_000),
+       a=st.floats(1.5, 64.0), b=st.floats(1.5, 64.0))
+def test_windows_nest_as_eps_shrinks(s, n, a, b):
+    """The identity the finest-rung oracle rests on: a smaller eps gives
+    every cell a window inside the one a larger eps gives it."""
+    h = 1.0 / n
+    eps1, eps2 = max(a, b) * h, min(a, b) * h
+    m = make_tent(s)
+    coarse, fine = build_grid(m, n, eps1), build_grid(m, n, eps2)
+    assert np.all(coarse.jlo <= fine.jlo)
+    assert np.all(coarse.jhi >= fine.jhi)
+
+
+def test_build_grid_peak_is_its_windows_plus_one_block(traced_peak):
+    """The two int32 windows are kept; the scratch on top is one block's
+    float arrays (centers, f with the map's branch index and coefficient
+    gathers, the ceil and clip chain), within eight 8-byte arrays of a
+    block.  The whole-grid build held about 40 bytes a cell."""
+    n = 200_000
+    m = make_tent(2.0)
+    build_grid(m, 1000, 2 / 1000)
+    kept = 2 * 4 * n
+    assert traced_peak(build_grid, m, n, 2 / n) < kept + 8 * 8 * _B
+
+
+# ---------------------------------------------------------------------------
+# strong components: the pivot's component peeled, the rest trimmed on runs
+# and split by forward-backward search
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _peel_case(draw):
+    name = draw(st.sampled_from(sorted(_MAPS)))
+    make, lo, hi = _MAPS[name]
+    param = draw(st.floats(1.001, 2.0) if name == "tent" else st.floats(lo, hi, exclude_min=True))
+    return make(param), draw(st.sampled_from([2_000, 20_000])), draw(st.floats(1.5, 64.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_peel_case())
+@example(case=(make_logistic(3.5), 20_000, 2.0))
+@example(case=(make_tent(2.0), 20_000, 2.0))
+@example(case=(make_tent(1.5), 20_000, 1.6))
+@example(case=(make_tu(1.0), 20_000, 3.0))
+@example(case=(make_logistic(3.75), 2_000, 7.0))
+@example(case=(make_logistic(3.0), 2_000, 5.0))
+def test_peeled_components_equal_whole_graph_components(case):
+    """The same recurrent cells and the same partition into strong
+    components (a bijection of labels) as scipy on the whole graph.  On
+    logistic 3.5 at 2h the pivot is transient and its component is that
+    one cell, though it reaches 25; at tent 2.0 the peel leaves no cell;
+    tent 1.5 at 1.6h has windows with gaps.  A run trim that did not keep
+    the last cell of a run whose window holds an earlier cell loses cells
+    on logistic 3.75 at 7h, and one that did not keep the first cell that
+    a later cell of its lap holds loses them on logistic 3.0 at 5h."""
+    m, n, k = case
+    h = 1.0 / n
+    g = build_grid(m, n, max(k * h, 1.5 * h))
+    mask, lab = recurrent_cells(g)
+    want_mask, want_lab = reference_recurrent_cells(g)
+    assert np.array_equal(mask, want_mask)
+    pairs = np.unique(np.stack([lab, want_lab]), axis=1)
+    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_peel_case(), step=st.integers(1, 64), block=st.integers(1, 64))
+@example(case=(make_tent(1.979249060900373), 20_000, 35.14645212976813), step=1 << 13,
+         block=_B)
+@example(case=(make_tent(1.5), 1000, 1e300), step=64, block=7)
+@example(case=(make_tent(1.5), 1000, 1.6), step=1, block=1)
+def test_any_search_step_gives_the_same_components(case, step, block):
+    """The backward search expands _STEP frontier cells at a time and cuts
+    each block's reversed windows at the cells the blocks before it gave;
+    the laps, the reversed windows, the run trim and every expansion are
+    made _BLOCK cells or windows at a time.  With steps and blocks of a
+    few cells the components are still scipy's, whole-grid windows (every
+    window end in one block) and windows with gaps between them included.
+    The first example lost a falling piece's cells when a block's cut ran
+    the wrong way."""
+    m, n, k = case
+    n = min(n, 3_000) if block < _B else n
+    h = 1.0 / n
+    g = build_grid(m, n, max(k * h, 1.5 * h))
+    with mock.patch.object(chainoracle, "_STEP", step), \
+            mock.patch.object(chainoracle, "_BLOCK", block):
+        mask, lab = recurrent_cells(g)
+    want_mask, want_lab = reference_recurrent_cells(g)
+    assert np.array_equal(mask, want_mask)
+    pairs = np.unique(np.stack([lab, want_lab]), axis=1)
+    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
+
+
+@pytest.mark.parametrize("m, k", [(make_tent(1.7), 3.0), (make_tent(1.5), 1.6),
+                                  (make_logistic(3.5), 2.0), (make_tu(1.0), 2.0),
+                                  (make_tent(1.5), 1e300)],
+                         ids=["tent-1.7", "tent-1.5-gaps", "logistic-3.5", "tu-1.0", "whole-grid"])
+def test_reversed_windows_hold_the_predecessors(m, k):
+    """A unimodal grid has at most two laps, and each lap's windows rise or
+    fall together; its reversed window of cell j is the run of its cells
+    whose windows hold j.  Tent 1.5 at 1.6h has windows with gaps between
+    them; at 1e300 every window is the whole grid and the grid is one flat
+    piece."""
+    n = 1000
+    g = build_grid(m, n, k / n)
+    pieces = chainoracle._pieces(g)
+    assert len(pieces) <= 2
+    assert [p0 for p0, _, _ in pieces] == [0] + [p1 + 1 for _, p1, _ in pieces[:-1]]
+    assert pieces[-1][1] == n - 1
+    first, last = chainoracle._reversed(g, pieces)
+    for (p0, p1, up), f, b in zip(pieces, first, last):
+        step = np.diff(g.jlo[p0:p1 + 1]), np.diff(g.jhi[p0:p1 + 1])
+        assert all(((d >= 0) if up else (d <= 0)).all() for d in step)
+        want_first, want_last = reference_predecessors(g, p0, p1)
+        held = want_first <= want_last
+        assert np.array_equal(f[held], want_first[held])
+        assert np.array_equal(b[held], want_last[held])
+        assert (f[~held] > b[~held]).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_peel_case())
+@example(case=(make_tent(1.5), 20_000, 1.6))
+@example(case=(make_tu(1.0), 20_000, 3.0))
+def test_expand_gets_sorted_runs_that_do_not_overlap(case):
+    """`_expand` sizes its cells and offsets in the dtype of the cell
+    numbers, which holds only for runs that do not overlap.  Every call
+    that the strong components, the classes and the Conley graph make
+    hands it sorted runs that do not overlap, empty ones aside."""
+    m, n, k = case
+    h = 1.0 / n
+    expand, disjoint = chainoracle._expand, []
+
+    def spy(lo, hi):
+        run = lo <= hi
+        disjoint.append(bool(np.all(lo[run][1:] > hi[run][:-1])))
+        return expand(lo, hi)
+
+    with mock.patch.object(chainoracle, "_expand", spy):
+        conley_graph(chain_classes(m, n, max(k * h, 1.5 * h)))
+    assert disjoint and all(disjoint)
+
+
+@pytest.mark.parametrize("s", [1.01, 1.05, 1.4])
+def test_trim_on_runs_leaves_a_32nd_of_the_grid(s):
+    """Outside the attractor's component a tent grid is transients around
+    a few small classes.  The cells from 0 up to the first band are a
+    chain that leaves the fixed point at 0, a window a round for the
+    cell-by-cell trim; the run trim eats it from both ends at once and
+    hands at most a 32nd of the grid to `_components`, which trims cell
+    by cell."""
+    n = 20_000
+    components, sizes = chainoracle._components, []
+
+    def spy(g, cells, *args):
+        sizes.append(len(cells))
+        return components(g, cells, *args)
+
+    with mock.patch.object(chainoracle, "_components", spy):
+        recurrent_cells(build_grid(make_tent(s), n, 2 / n))
+    assert sizes and max(sizes) <= n // 32
+
+
+def test_trim_rounds_rescan_no_dead_level():
+    """Tent 1.5 at 1.6h, whose windows have gaps, hands `_components` a
+    first level of 37k cells, and its trim drops a few a round for
+    hundreds of rounds.  Each round takes one cumulative count of its
+    level's live mask; rescanning the whole level every round counted
+    33.9M cells at n = 1e5, renumbering the live cells once fewer than
+    half are live counts 1.9M."""
+    n = 100_000
+    g = build_grid(make_tent(1.5), n, 1.6 / n)
+    cumsum, scanned = np.cumsum, []
+
+    def spy(a, *args, out=None, **kwargs):
+        if out is not None and a.dtype == bool:
+            scanned.append(len(a))
+        return cumsum(a, *args, out=out, **kwargs)
+
+    with mock.patch.object(np, "cumsum", spy):
+        recurrent_cells(g)
+    assert 0 < sum(scanned) < 4 * 10**6
+
+
+@pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
+def test_recurrent_cells_peak_is_under_twenty_four_bytes_a_cell(s, traced_peak):
+    """The reversed windows, two int32 arrays on each of the two laps (16
+    bytes a cell), and two byte-a-cell masks stay through the peel; the
+    int32 labels and the recurrent mask are made only once the reversed
+    windows of the trimmed cells are gathered and the grid's are gone.
+    On top of them the peak is the peel's backward search, a level of
+    found cells and one block's windows: 5.2 bytes a cell here at s = 2,
+    2.7 at n = 1e6.  The peaks are 22.0, 22.6 and 23.2 bytes a cell at
+    s = 1.4, 1.8, 2, within 24; with the labels made before the run trim
+    and the reversed windows repeated over whole laps, the run trim set
+    the peak at s = 1.4 and 1.8, 25.2."""
+    n = 200_000
+    m = make_tent(s)
+    recurrent_cells(build_grid(m, 1000, 2 / 1000))
+    g = build_grid(m, n, 2 / n)
+    assert traced_peak(recurrent_cells, g) < 24 * n
+
+
+@pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
+def test_recurrent_cells_peak_does_not_grow_with_eps(s, traced_peak):
+    """At 32h the windows are 64 cells wide, and the bound is the one of
+    2h: the searches expand merged hulls and cut reversed windows, so no
+    edge list is made (22.0, 22.6 and 23.4 bytes a cell).  Expanding
+    every window into a CSR and its reverse held about 64 edges a cell
+    twice."""
+    n = 200_000
+    m = make_tent(s)
+    recurrent_cells(build_grid(m, 1000, 32 / 1000))
+    g = build_grid(m, n, 32 / n)
+    assert traced_peak(recurrent_cells, g) < 24 * n
+
+
+# ---------------------------------------------------------------------------
+# classes and the Conley graph
+# ---------------------------------------------------------------------------
+
 @st.composite
 def _oracle_case(draw):
     s = draw(st.floats(1.001, 2.0))
-    n = draw(st.sampled_from([2_000, 20_000]))
+    # blocks of 1 to 64 cells on the smaller grid, where they are many
+    block = draw(st.one_of(st.just(_B), st.integers(1, 64)))
+    n = 2_000 if block < _B else draw(st.sampled_from([2_000, 20_000]))
     h = 1.0 / n
     mults = draw(st.lists(st.floats(1.5, 64.0), min_size=1, max_size=4))
-    return s, n, sorted({k * h for k in mults}, reverse=True)
+    return s, n, sorted({k * h for k in mults}, reverse=True), block
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=_oracle_case())
-@example(case=(1.001, 20_000, [8 / 20_000, 2 / 20_000]))
-@example(case=(1.05, 20_000, [8 / 20_000, 2 / 20_000]))
+@example(case=(1.001, 20_000, [8 / 20_000, 2 / 20_000], _B))
+@example(case=(1.05, 20_000, [8 / 20_000, 2 / 20_000], _B))
+@example(case=(1.5, 2_000, [2 / 2_000], 1))
+@example(case=(2.0, 2_000, [2 / 2_000], 2))
 def test_finest_rung_oracle_matches_reference(case):
     """One eps gives the classes and edges of any decreasing ladder of
-    jump sizes ending at it.  Near s = 1 the recurrent cells carry hundreds
-    of strong-component labels, so the grouping over labels is exercised."""
-    s, n, eps = case
+    jump sizes ending at it: the recurrent cells of every rung intersected,
+    grouped cell by cell, and searched from each class's halo.  Near s = 1
+    the recurrent cells carry hundreds of strong-component labels, so the
+    grouping over labels is exercised; with blocks of a few cells every
+    block-at-a-time path of the classes and the Conley graph is."""
+    s, n, eps, block = case
     m = make_tent(s)
-    ref = reference_chain_classes(m, n, eps)
-    cc = chain_classes(m, n, eps[-1])
+    rec = np.ones(n, bool)
+    for e in eps:
+        fine = build_grid(m, n, e)
+        rung, lab = reference_recurrent_cells(fine)
+        rec &= rung
+    ref = ChainClasses(n, reference_grouping(m, n, rec, lab), fine)
+    with mock.patch.object(chainoracle, "_BLOCK", block):
+        cc = chain_classes(m, n, eps[-1])
+        edges = conley_graph(cc)
     assert cc.graph.eps == eps[-1]
     assert len(cc.classes) == len(ref.classes)
     for got, want in zip(cc.classes, ref.classes):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    assert conley_graph(cc) == reference_conley_graph(ref)
+    assert edges == reference_conley_graph(ref)
 
 
 @st.composite
@@ -429,109 +742,8 @@ def test_run_scan_at_any_block_groups_as_the_cell_wise_reference(case, block):
         assert np.array_equal(got, cells)
 
 
-@settings(max_examples=60, deadline=None)
-@given(s=st.floats(1.01, 2.0), n=st.integers(100, 50_000),
-       a=st.floats(1.5, 64.0), b=st.floats(1.5, 64.0))
-def test_windows_nest_as_eps_shrinks(s, n, a, b):
-    """The identity the finest-rung oracle rests on: a smaller eps gives
-    every cell a window inside the one a larger eps gives it."""
-    h = 1.0 / n
-    eps1, eps2 = max(a, b) * h, min(a, b) * h
-    m = make_tent(s)
-    coarse, fine = build_grid(m, n, eps1), build_grid(m, n, eps2)
-    assert np.all(coarse.jlo <= fine.jlo)
-    assert np.all(coarse.jhi >= fine.jhi)
-
-
-# ---------------------------------------------------------------------------
-# edge build
-# ---------------------------------------------------------------------------
-
-def reference_expand(lo, hi):
-    # the whole expansion in one int64 repeat and one int64 arange
-    counts = (hi - lo + 1).clip(min=0)
-    ends = np.cumsum(counts)
-    cells = np.repeat(lo - (ends - counts), counts)
-    cells += np.arange(len(cells), dtype=np.int64)
-    return cells, ends
-
-
-@st.composite
-def _disjoint_runs(draw):
-    # sorted runs that may touch but do not overlap; an empty run (width
-    # 0) ends 1 to 4 cells before it starts
-    dtype = draw(st.sampled_from([np.int32, np.int64]))
-    lo, hi, at = [], [], 0
-    for gap, width, short in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 9),
-                                                     st.integers(1, 4)), max_size=120)):
-        at += gap
-        lo.append(at)
-        hi.append(at + width - 1 if width else at - short)
-        at += width
-    return np.array(lo, dtype), np.array(hi, dtype)
-
-
-@settings(max_examples=200, deadline=None)
-@given(runs=_disjoint_runs(), block=st.sampled_from([1, 2, 3, 7, 64, 1 << 15]))
-@example(runs=(np.zeros(0, np.int32), np.zeros(0, np.int32)), block=1 << 15)
-@example(runs=(np.array([0, 3, 3, 9], np.int32), np.array([2, 1, 8, 8], np.int32)), block=2)
-def test_blockwise_edges_equal_one_repeat(runs, block):
-    """Disjoint runs written a block at a time, empty ones and blocks with
-    no cell at all included, give the cells of one repeat + arange, in the
-    dtype of lo."""
-    lo, hi = runs
-    with mock.patch.object(chainoracle, "_BLOCK", block):
-        cells = chainoracle._expand(lo, hi)
-    assert cells.dtype == lo.dtype
-    assert np.array_equal(cells, reference_expand(lo, hi)[0])
-
-
-def test_index_dtype_widens_past_int32():
-    # the grid size decides: int32 while every cell number, window bound
-    # and count of cells fits in it
-    assert chainoracle._index_dtype(0) is np.int32
-    assert chainoracle._index_dtype(2**31 - 1) is np.int32
-    assert chainoracle._index_dtype(2**31) is np.int64
-    assert chainoracle._index_dtype(62 * 10**9) is np.int64
-
-
-def reference_predecessors(g, p0, p1):
-    # per cell j, the first and last cell of p0 .. p1 whose window holds j
-    first = np.full(g.n, p1 + 1, np.int64)
-    last = np.full(g.n, p0 - 1, np.int64)
-    for i in range(p0, p1 + 1):
-        first[g.jlo[i]:g.jhi[i] + 1] = np.minimum(first[g.jlo[i]:g.jhi[i] + 1], i)
-        last[g.jlo[i]:g.jhi[i] + 1] = i
-    return first, last
-
-
-@pytest.mark.parametrize("m, k", [(make_tent(1.7), 3.0), (make_tent(1.5), 1.6),
-                                  (make_logistic(3.5), 2.0), (make_tu(1.0), 2.0),
-                                  (make_tent(1.5), 1e300)],
-                         ids=["tent-1.7", "tent-1.5-gaps", "logistic-3.5", "tu-1.0", "whole-grid"])
-def test_reversed_windows_hold_the_predecessors(m, k):
-    """Each piece's windows rise or fall together, and its reversed window
-    of cell j is the run of its cells whose windows hold j.  Tent 1.5 at
-    1.6h has windows with gaps between them; at 1e300 every window is the
-    whole grid and the grid is one flat piece."""
-    n = 1000
-    g = build_grid(m, n, k / n)
-    pieces = chainoracle._pieces(g)
-    assert [p0 for p0, _, _ in pieces] == [0] + [p1 + 1 for _, p1, _ in pieces[:-1]]
-    assert pieces[-1][1] == n - 1
-    first, last = chainoracle._reversed(g, pieces)
-    for (p0, p1, up), f, b in zip(pieces, first, last):
-        step = np.diff(g.jlo[p0:p1 + 1]), np.diff(g.jhi[p0:p1 + 1])
-        assert all(((d >= 0) if up else (d <= 0)).all() for d in step)
-        want_first, want_last = reference_predecessors(g, p0, p1)
-        held = want_first <= want_last
-        assert np.array_equal(f[held], want_first[held])
-        assert np.array_equal(b[held], want_last[held])
-        assert (f[~held] > b[~held]).all()
-
-
 @pytest.mark.parametrize("s", [2.0, 1.4])
-def test_chain_classes_peak_is_its_arrays_plus_four_per_cell(s, traced_peak):
+def test_chain_classes_peak_is_its_arrays_plus_21_a_cell_and_grouping_4kb(s, traced_peak):
     """The grid's two int32 windows and the int64 classes are kept.  The
     peak is inside recurrent_cells: its mask and labels go once they are
     scanned into runs, before the classes are written, so the grouping
@@ -552,343 +764,6 @@ def test_chain_classes_peak_is_its_arrays_plus_four_per_cell(s, traced_peak):
     peak = traced_peak(chain_classes, m, n)
     assert peak < kept + 21 * n
     assert peak < g.jlo.nbytes + g.jhi.nbytes + own + 4096
-
-
-# ---------------------------------------------------------------------------
-# grid build and Conley seeds
-# ---------------------------------------------------------------------------
-
-def reference_grid(m, n, eps):
-    # the whole grid at once: float64 centers and images, cast to int64
-    h = 1.0 / n
-    fc = m((np.arange(n) + 0.5) * h)
-    slack = eps - h
-    jlo = np.clip(np.ceil((fc - slack) / h - 0.5), 0, n - 1).astype(np.int64)
-    jhi = np.clip(np.floor((fc + slack) / h - 0.5), 0, n - 1).astype(np.int64)
-    return jlo, jhi
-
-
-_B = chainoracle._BLOCK
-_MAPS = {"tent": (make_tent, 1.0, 2.0), "logistic": (make_logistic, 2.5, 4.0),
-         "tu": (make_tu, 0.9, 4.0 / TU_BASE_MU)}
-
-
-@st.composite
-def _grid_case(draw):
-    make, lo, hi = _MAPS[draw(st.sampled_from(sorted(_MAPS)))]
-    m = make(draw(st.floats(lo, hi, exclude_min=True)))
-    n = draw(st.one_of(st.integers(100, _B - 1),
-                       st.builds(lambda k, d: k * _B + d, st.integers(1, 3),
-                                 st.sampled_from([-1, 0, 1]))))
-    eps = draw(st.one_of(st.floats(1.5, 64.0).map(lambda k: k / n),
-                         st.floats(1.5 / n, 1e300)))
-    return m, n, max(eps, 1.5 * (1.0 / n))
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=_grid_case())
-@example(case=(make_tent(2.0), _B + 1, 1e300))
-@example(case=(make_tu(1.0), 2 * _B - 1, 1.5 * (1.0 / (2 * _B - 1))))
-@example(case=(make_logistic(4.0), _B, 2.0 / _B))
-def test_blockwise_grid_equals_whole_array_grid(case):
-    """Windows filled a block at a time, the last block short or one cell
-    long, equal the whole-array formula value for value, in the index
-    dtype of n."""
-    m, n, eps = case
-    g = build_grid(m, n, eps)
-    jlo, jhi = reference_grid(m, n, eps)
-    assert g.jlo.dtype == g.jhi.dtype == chainoracle._index_dtype(n)
-    assert np.array_equal(g.jlo, jlo)
-    assert np.array_equal(g.jhi, jhi)
-
-
-def test_build_grid_peak_is_its_windows_plus_one_block(traced_peak):
-    """The two int32 windows are kept; the scratch on top is one block's
-    float arrays (centers, f with the map's branch index and coefficient
-    gathers, the ceil and clip chain), within eight 8-byte arrays of a
-    block.  The whole-grid build held about 40 bytes a cell."""
-    n = 200_000
-    m = make_tent(2.0)
-    build_grid(m, 1000, 2 / 1000)
-    kept = 2 * 4 * n
-    assert traced_peak(build_grid, m, n, 2 / n) < kept + 8 * 8 * _B
-
-
-# ---------------------------------------------------------------------------
-# strong components: the pivot's component peeled, the rest trimmed on runs
-# and split by forward-backward search; scipy's whole-graph components are
-# the reference
-# ---------------------------------------------------------------------------
-
-@st.composite
-def _peel_case(draw):
-    name = draw(st.sampled_from(sorted(_MAPS)))
-    make, lo, hi = _MAPS[name]
-    param = draw(st.floats(1.001, 2.0) if name == "tent" else st.floats(lo, hi, exclude_min=True))
-    return make(param), draw(st.sampled_from([2_000, 20_000])), draw(st.floats(1.5, 64.0))
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=_peel_case())
-@example(case=(make_logistic(3.5), 20_000, 2.0))
-@example(case=(make_tent(2.0), 20_000, 2.0))
-@example(case=(make_tent(1.5), 20_000, 1.6))
-@example(case=(make_tu(1.0), 20_000, 3.0))
-def test_peeled_components_equal_whole_graph_components(case):
-    """The same recurrent cells and the same partition into strong
-    components (a bijection of labels) as scipy on the whole graph.  On
-    logistic 3.5 at 2h the pivot is transient and its component is that
-    one cell, though it reaches 25; at tent 2.0 the peel leaves no cell;
-    tent 1.5 at 1.6h has windows with gaps."""
-    m, n, k = case
-    h = 1.0 / n
-    g = build_grid(m, n, max(k * h, 1.5 * h))
-    mask, lab = recurrent_cells(g)
-    want_mask, want_lab = reference_recurrent_cells(g)
-    assert np.array_equal(mask, want_mask)
-    pairs = np.unique(np.stack([lab, want_lab]), axis=1)
-    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
-
-
-@pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
-def test_recurrent_cells_peak_is_thirty_bytes_a_cell(s, traced_peak):
-    """The reversed windows, two int32 arrays on each of the two laps (16
-    bytes a cell), and two byte-a-cell masks stay through the peel; the
-    int32 labels and the recurrent mask are made only once the reversed
-    windows of the trimmed cells are gathered and the grid's are gone.
-    On top of them the peak is the peel's backward search, a level of
-    found cells and one block's windows: 5.2 bytes a cell here at s = 2,
-    2.7 at n = 1e6.  The peaks are 22.0, 22.6 and 23.2 bytes a cell at
-    s = 1.4, 1.8, 2, within 24; with the labels made before the run trim
-    and the reversed windows repeated over whole laps, the run trim set
-    the peak at s = 1.4 and 1.8, 25.2."""
-    n = 200_000
-    m = make_tent(s)
-    recurrent_cells(build_grid(m, 1000, 2 / 1000))
-    g = build_grid(m, n, 2 / n)
-    assert traced_peak(recurrent_cells, g) < 24 * n
-
-
-@pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
-def test_recurrent_cells_peak_does_not_grow_with_eps(s, traced_peak):
-    """At 32h the windows are 64 cells wide, and the bound is the one of
-    2h: the searches expand merged hulls and cut reversed windows, so no
-    edge list is made (22.0, 22.6 and 23.4 bytes a cell).  Expanding
-    every window into a CSR and its reverse held about 64 edges a cell
-    twice."""
-    n = 200_000
-    m = make_tent(s)
-    recurrent_cells(build_grid(m, 1000, 32 / 1000))
-    g = build_grid(m, n, 32 / n)
-    assert traced_peak(recurrent_cells, g) < 24 * n
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=_peel_case(), step=st.sampled_from([1, 2, 7, 64]))
-@example(case=(make_tent(1.979249060900373), 20_000, 35.14645212976813), step=1 << 13)
-def test_any_search_step_gives_the_same_components(case, step):
-    """The backward search expands _STEP frontier cells at a time and cuts
-    each block's reversed windows at the cells the blocks before it gave;
-    with blocks of a few cells the components are still scipy's.  The
-    example lost a falling piece's cells when a block's cut ran the wrong
-    way."""
-    m, n, k = case
-    n = min(n, 3_000) if step < 64 else n
-    h = 1.0 / n
-    g = build_grid(m, n, max(k * h, 1.5 * h))
-    with mock.patch.object(chainoracle, "_STEP", step):
-        mask, lab = recurrent_cells(g)
-    want_mask, want_lab = reference_recurrent_cells(g)
-    assert np.array_equal(mask, want_mask)
-    pairs = np.unique(np.stack([lab, want_lab]), axis=1)
-    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
-
-
-def reference_reversed(g, pieces):
-    # per piece, np.repeat of the window counts over the whole lap
-    n, dtype = g.n, g.jlo.dtype
-    first, last = [], []
-    for p0, p1, rising in pieces:
-        jlo, jhi = g.jlo[p0:p1 + 1], g.jhi[p0:p1 + 1]
-        if not rising:
-            jlo, jhi = jlo[::-1], jhi[::-1]
-        count = np.arange(p1 - p0 + 2, dtype=dtype)
-        before = np.repeat(count, np.diff(jhi, prepend=-1, append=n - 1))
-        upto = np.repeat(count, np.diff(jlo, prepend=0, append=n))
-        if rising:
-            first.append(before + p0)
-            last.append(upto + (p0 - 1))
-        else:
-            first.append(p1 + 1 - upto)
-            last.append(p1 - before)
-    return first, last
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=_peel_case(), block=st.integers(1, 64))
-@example(case=(make_tent(1.5), 1000, 1e300), block=7)
-@example(case=(make_tent(1.5), 1000, 1.6), block=1)
-def test_reversed_windows_filled_a_block_at_a_time_equal_one_repeat(case, block):
-    """Each block of reversed windows is written from the window ends that
-    fall in it, read a block at a time; any block size gives the whole
-    lap's np.repeat, in the grid's dtype, whole-grid windows (every end in
-    one block) and windows with gaps between them included."""
-    m, n, k = case
-    n = min(n, 3_000)
-    g = build_grid(m, n, max(k / n, 1.5 / n))
-    pieces = chainoracle._pieces(g)
-    with mock.patch.object(chainoracle, "_BLOCK", block):
-        got = chainoracle._reversed(g, pieces)
-    for have, want in zip(got, reference_reversed(g, pieces)):
-        assert len(have) == len(want) == len(pieces)
-        for a, b in zip(have, want):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=_peel_case())
-@example(case=(make_tent(1.5), 20_000, 1.6))
-@example(case=(make_tu(1.0), 20_000, 3.0))
-def test_expand_gets_sorted_runs_that_do_not_overlap(case):
-    """`_expand` sizes its cells and offsets in the dtype of the cell
-    numbers, which holds only for runs that do not overlap.  Every call
-    that the strong components, the classes and the Conley graph make
-    hands it sorted runs that do not overlap, empty ones aside."""
-    m, n, k = case
-    h = 1.0 / n
-    expand, disjoint = chainoracle._expand, []
-
-    def spy(lo, hi):
-        run = lo <= hi
-        disjoint.append(bool(np.all(lo[run][1:] > hi[run][:-1])))
-        return expand(lo, hi)
-
-    with mock.patch.object(chainoracle, "_expand", spy):
-        conley_graph(chain_classes(m, n, max(k * h, 1.5 * h)))
-    assert disjoint and all(disjoint)
-
-
-def reference_trim(g, keep):
-    # cell by cell: drop the cells with no successor or no predecessor in
-    # keep other than themselves, until none is dropped
-    keep = keep.copy()
-    idx, ends = reference_expand(g.jlo, g.jhi)
-    src = np.repeat(np.arange(g.n), np.diff(ends, prepend=0))
-    other = src != idx
-    while True:
-        live = keep[src] & keep[idx] & other
-        out = np.bincount(src[live], minlength=g.n) > 0
-        into = np.bincount(idx[live], minlength=g.n) > 0
-        new = keep & out & into
-        if (new == keep).all():
-            return keep
-        keep = new
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=_peel_case(), seed=st.integers(0, 2**32 - 1))
-@example(case=(make_tent(1.01), 20_000, 2.0), seed=0)
-def test_trim_on_runs_keeps_every_cell_between_cycles(case, seed):
-    """The run trim drops only cells that the cell-by-cell trim drops."""
-    m, n, k = case
-    h = 1.0 / n
-    g = build_grid(m, n, max(k * h, 1.5 * h))
-    keep = np.random.default_rng(seed).random(n) < 0.9
-    pieces = chainoracle._pieces(g)
-    rev = chainoracle._reversed(g, pieces)
-    lo, hi = chainoracle._mask_runs(keep)
-    lo, hi = chainoracle._trim(g, pieces, rev, lo.astype(g.jlo.dtype), hi.astype(g.jlo.dtype))
-    got = np.zeros(n, bool)
-    got[chainoracle._expand(lo, hi)] = True
-    assert not (got & ~keep).any()
-    assert not (reference_trim(g, keep) & ~got).any()
-
-
-@pytest.mark.parametrize("s", [1.01, 1.05, 1.4])
-def test_trim_on_runs_leaves_a_32nd_of_the_grid(s):
-    """Outside the attractor's component a tent grid is transients around
-    a few small classes.  The cells from 0 up to the first band are a
-    chain that leaves the fixed point at 0, a window a round for the
-    cell-by-cell trim; the run trim eats it from both ends at once and
-    leaves at most a 32nd of the grid to the cell-by-cell trim."""
-    n = 20_000
-    g = build_grid(make_tent(s), n, 2 / n)
-    pieces = chainoracle._pieces(g)
-    rev = chainoracle._reversed(g, pieces)
-    pivot = int(np.argmax(g.jhi))
-    fwd, comp = np.zeros(n, bool), np.zeros(n, bool)
-    fwd[pivot] = comp[pivot] = True
-    chainoracle._reach_back(rev, pieces, comp, chainoracle._search([g.jlo], [g.jhi], fwd))
-    lo, hi = (a.astype(np.int32) for a in chainoracle._mask_runs(~comp))
-    lo, hi = chainoracle._trim(g, pieces, rev, lo, hi)
-    assert np.sum(hi - lo + 1) <= n // 32
-
-
-def test_trim_rounds_rescan_no_dead_level():
-    """Tent 1.5 at 1.6h, whose windows have gaps, hands `_components` a
-    first level of 37k cells, and its trim drops a few a round for
-    hundreds of rounds.  Each round takes one cumulative count of its
-    level's live mask; rescanning the whole level every round counted
-    33.9M cells at n = 1e5, renumbering the live cells once fewer than
-    half are live counts 1.9M."""
-    n = 100_000
-    g = build_grid(make_tent(1.5), n, 1.6 / n)
-    cumsum, scanned = np.cumsum, []
-
-    def spy(a, *args, out=None, **kwargs):
-        if out is not None and a.dtype == bool:
-            scanned.append(len(a))
-        return cumsum(a, *args, out=out, **kwargs)
-
-    with mock.patch.object(np, "cumsum", spy):
-        recurrent_cells(g)
-    assert 0 < sum(scanned) < 4 * 10**6
-
-
-@settings(max_examples=100, deadline=None)
-@given(k=st.integers(1, 40), data=st.data())
-def test_linked_nodes_share_a_root(k, data):
-    """The union-find gives two nodes one root exactly when scipy's
-    undirected components put them together."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-    links = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
-                               max_size=60))
-    u = np.array([a for a, _ in links], dtype=np.int32)
-    v = np.array([b for _, b in links], dtype=np.int32)
-    root = chainoracle._link(k, u, v)
-    want = connected_components(csr_matrix((np.ones(len(u)), (u, v)), shape=(k, k)),
-                                directed=False)[1]
-    assert np.array_equal(root[root], root)
-    pairs = np.unique(np.stack([root, want]), axis=1)
-    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
-
-
-def reference_seeds(cs, n):
-    # the class shifted by +-1 and +-2 as int64 indices clipped to the grid
-    seen = np.zeros(n, bool)
-    for d in (-2, -1, 1, 2):
-        seen[np.clip(cs + d, 0, n - 1)] = True
-    seen[cs] = False
-    return seen
-
-
-@pytest.mark.parametrize("cs", [[0], [1], [0, 1], [0, 1, 2, 3], [99], [98], [97, 98, 99],
-                                [50], [0, 99], [40, 41, 42, 43], [10, 11, 14, 20, 21, 22]],
-                         ids=str)
-def test_conley_seeds_equal_clipped_shifts(cs):
-    n = 100
-    cs = np.array(cs, dtype=np.int64)
-    assert np.array_equal(chainoracle._near(cs, n), reference_seeds(cs, n))
-
-
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(3, 60), data=st.data())
-def test_conley_seeds_of_any_cells_equal_clipped_shifts(n, data):
-    cells = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    cs = np.array(sorted(cells), dtype=np.int64)
-    assert np.array_equal(chainoracle._near(cs, n), reference_seeds(cs, n))
 
 
 @pytest.mark.parametrize("m", [make_tent(1.5), make_tent(1.7), make_tent(1.9), make_tent(1.99),

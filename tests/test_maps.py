@@ -18,7 +18,7 @@ from unimodal import (
 )
 from unimodal import backward, maps
 from unimodal.backward import build_backward_tree
-from unimodal.maps import _DEDUP_TOL, TU_BASE_MU, MapStack, bisect_root, runs
+from unimodal.maps import TU_BASE_MU, MapStack, bisect_root, runs
 
 
 def reference_interval_image(m, lo, hi):
@@ -329,14 +329,11 @@ def test_preimages_match_scalar_branch_walk(family, data, drawn):
     assert m.preimages_array(apart + apart).tolist() == want
 
 
-def reference_preimages_array(m, ys):
-    # the laps' roots joined as each branch gives them, sorted into a copy,
-    # then the dedupe against the predecessor in one whole-array pass
-    allx = np.sort(np.concatenate([b.invert(ys) for b in m.branches]))
-    keep = np.empty(len(allx), dtype=bool)
-    keep[:1] = True
-    np.greater(np.diff(allx), _DEDUP_TOL, out=keep[1:])
-    return allx[keep]
+def _walked(m, ys):
+    # the scalar walk of each value, joined and sorted; a root within the
+    # dedupe tolerance of the one before it is a root found twice
+    xs = np.sort([x for y in ys for x in reference_preimages(m, float(y))])
+    return xs[np.r_[True, np.diff(xs) > 1e-12]] if len(xs) else xs
 
 
 def _batches(m, row, rng):
@@ -350,26 +347,34 @@ def _batches(m, row, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.one_of(*(params.map(make) for make, params in _INVERT_FAMILIES.values())),
-       u=st.floats(0.0, 1.0), depth=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
-@example(m=make_logistic(3.9), u=1.0, depth=3, seed=0)
-def test_lap_order_never_changes_a_row(m, u, depth, seed):
-    """Joining the laps in domain order, falling laps reversed, and sorting
-    in place gives the array the sorted copy gave, whatever the order of
-    the values, and with the values repeated."""
+       u=st.floats(0.0, 1.0), depth=st.integers(0, 9), seed=st.integers(0, 2**32 - 1),
+       block=st.integers(1, 64))
+@example(m=make_logistic(3.9), u=1.0, depth=3, seed=0, block=1)
+def test_lap_order_never_changes_a_row(m, u, depth, seed, block):
+    """Joining the laps in domain order, falling laps reversed, sorting in
+    place and comparing the gaps a block at a time gives the scalar walk's
+    roots of every value, whatever the order of the values, and with the
+    values repeated."""
     row = build_backward_tree(m, u * m.peak, depth).levels[-1]
     for ys in _batches(m, row, np.random.default_rng(seed)):
-        assert np.array_equal(m.preimages_array(ys), reference_preimages_array(m, ys))
+        with mock.patch.object(maps, "_BLOCK", block):
+            got = m.preimages_array(ys)
+        assert np.array_equal(got, _walked(m, ys))
 
 
 @pytest.mark.parametrize("m, x", [(make_tent(2.0), 0.5), (make_tent(1.7), 0.5),
                                   (make_logistic(3.9), 0.5), (make_tu(1.0), 0.5)],
                          ids=lambda v: getattr(v, "label", v))
 def test_lap_order_never_changes_a_capped_row(m, x):
+    """A thinned row, every 100th point of it to keep the scalar walk
+    short, with the gaps compared 7 roots at a time."""
     tree = build_backward_tree(m, x, 24)
     capped = [r for r in tree.levels if len(r) == backward._LEVEL_CAP]
     assert tree.truncated and capped
-    for ys in _batches(m, capped[-1], np.random.default_rng(0)):
-        assert np.array_equal(m.preimages_array(ys), reference_preimages_array(m, ys))
+    for ys in _batches(m, capped[-1][::100], np.random.default_rng(0)):
+        with mock.patch.object(maps, "_BLOCK", 7):
+            got = m.preimages_array(ys)
+        assert np.array_equal(got, _walked(m, ys))
 
 
 def test_preimages_array_peak_is_the_join_of_its_laps(traced_peak):
@@ -419,19 +424,21 @@ def test_interval_image_rejects_points_outside_the_domain():
         make_tent(1.8).interval_image(0.2, 1.5)
 
 
-def reference_branch_index(m, x):
-    return np.searchsorted([b.domain.hi for b in m.branches[:-1]], x, side="right")
-
-
 def reference_eval(m, x):
-    # Per-branch loop: every branch evaluated on the whole array, its own
-    # points selected with copyto.
+    # Per-branch loop: every branch evaluated on the whole array, and its
+    # own points (those right of every joint at or below them) selected
+    # with copyto.
     x = np.asarray(x, dtype=float)
-    idx = reference_branch_index(m, x)
+    idx = np.searchsorted([b.domain.hi for b in m.branches[:-1]], x, side="right")
     out = np.empty_like(x)
     for i, b in enumerate(m.branches):
         np.copyto(out, b(x), where=idx == i)
     return out
+
+
+def bits(values):
+    # float64 values as their bit patterns, so -0.0 differs from 0.0
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
 _TU_MAX = 4.0 / TU_BASE_MU
@@ -447,16 +454,19 @@ _EVAL_FAMILIES = {
 @given(family=st.sampled_from(sorted(_EVAL_FAMILIES)), data=st.data(),
        drawn=st.lists(st.floats(0.0, 1.0), max_size=50))
 def test_array_eval_is_the_branch_loop_and_the_scalar_call_bit_for_bit(family, data, drawn):
-    """The table-driven array call equals the per-branch loop exactly, and
-    every element equals the scalar call, on drawn points, every joint, the
-    critical point and both ends of the domain."""
+    """The table-driven array call equals the per-branch loop in every bit,
+    a signed zero included, and every element equals the scalar call, on
+    drawn points, every joint, the critical point and both ends of the
+    domain."""
     make, params = _EVAL_FAMILIES[family]
     m = make(data.draw(params))
     xs = np.array(drawn + [e for b in m.branches for e in b.domain] + [m.critical, 0.0, 1.0])
-    got = m(xs)
-    assert np.array_equal(got, reference_eval(m, xs))
-    assert got.tolist() == [m(float(x)) for x in xs]
-    assert [m.branch_index(float(x)) for x in xs] == reference_branch_index(m, xs).tolist()
+    got = bits(m(xs))
+    assert got == bits(reference_eval(m, xs))
+    assert got == bits([m(float(x)) for x in xs])
+    # a point's branch is the one right of every joint at or below it
+    assert [m.branch_index(float(x)) for x in xs] == \
+        [sum(b.domain.hi <= x for b in m.branches[:-1]) for x in xs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -465,9 +475,10 @@ def test_array_eval_is_the_branch_loop_and_the_scalar_call_bit_for_bit(family, d
 def test_stacked_eval_is_each_maps_own_array_call(data, mus, drawn):
     """Row r of a stack of u_1 scaled by mus[r] evaluates like
     make_tu(mus[r])'s own array call, and its slopes like that map's scalar
-    slope_at, bit for bit, on drawn points and every joint, with each row's
-    points in its own order, for drawn mus and 0, 1 and the top of the
-    range; a taken row evaluates like the row it was taken from."""
+    slope_at, in every bit, a signed zero included, on drawn points and
+    every joint, with each row's points in its own order, for drawn mus
+    and 0, 1 and the top of the range; a taken row evaluates like the row
+    it was taken from."""
     mus = mus + [0.0, 1.0, _TU_MAX]
     maps = [make_tu(mu) for mu in mus]
     stack = MapStack(make_tu(1.0), mus)
@@ -475,8 +486,8 @@ def test_stacked_eval_is_each_maps_own_array_call(data, mus, drawn):
     x = np.array([np.roll(xs, r) for r in range(len(maps))])
     got, slopes = stack(x), stack.slope_at(x)
     for r, m in enumerate(maps):
-        assert got[r].tolist() == m(x[r]).tolist()
-        assert slopes[r].tolist() == [m.slope_at(float(v)) for v in x[r]]
+        assert bits(got[r]) == bits(m(x[r]))
+        assert bits(slopes[r]) == bits([m.slope_at(float(v)) for v in x[r]])
     rows = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=8))
     taken = stack.take(np.array(rows))
     assert taken(x[rows]).tolist() == [maps[r](x[r]).tolist() for r in rows]
@@ -498,44 +509,6 @@ def test_stack_of_one_is_the_map(family, data, drawn):
     assert stack.slope_at(xs[None])[0].tolist() == [m.slope_at(float(v)) for v in xs]
     taken = stack.take(np.zeros(3, dtype=int))
     assert taken(np.array([xs] * 3)).tolist() == [m(xs).tolist()] * 3
-
-
-def reference_tables_eval(t, x, k):
-    # The masked-copy kernel: slope*x + intercept at every point, then the
-    # quad product copied over the points of quad branches.
-    out = t.slope[k]
-    out *= x
-    out += t.icpt[k]
-    if t.quad is not None:
-        quad = t.qa[k]
-        quad *= x
-        quad *= 1.0 - x
-        np.copyto(out, quad, where=t.quad[k])
-    return out
-
-
-@settings(max_examples=200, deadline=None)
-@given(family=st.sampled_from(sorted(_EVAL_FAMILIES)), data=st.data(),
-       drawn=st.lists(st.floats(0.0, 1.0), max_size=50),
-       mus=st.lists(st.floats(0.0, _TU_MAX), max_size=5))
-def test_table_kernel_is_the_masked_copy_bit_for_bit(family, data, drawn, mus):
-    """The kernel adds the quad term where the reference copies it over the
-    quad branches' points, and the two agree in every bit, a signed zero
-    included: on the family's map and on each row of a tu stack (drawn mus
-    and 0, 1 and the top of the range), at drawn points of [0, 1], every
-    joint, the critical point and both ends."""
-    make, params = _EVAL_FAMILIES[family]
-    m = make(data.draw(params))
-    xs = np.array(drawn + [e for b in m.branches for e in b.domain] + [m.critical, 0.0, 1.0])
-    k = m._cut_array.searchsorted(xs, side="right")
-    got, want = m._tables.eval(xs, k), reference_tables_eval(m._tables, xs, k)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    stack = MapStack(make_tu(1.0), mus + [0.0, 1.0, _TU_MAX])
-    joints = [e for b in stack.base.branches for e in b.domain]
-    x = np.array([np.roll(drawn + joints, r) for r in range(len(stack))])
-    k = stack._entries(x)
-    got, want = stack._tables.eval(x, k), reference_tables_eval(stack._tables, x, k)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def reference_bisect(g, lo, hi, tol):
@@ -601,11 +574,14 @@ def test_runs_by_hand(values, gap, want):
 
 @settings(max_examples=200, deadline=None)
 @given(gap=st.integers(0, 3), steps=st.lists(st.integers(0, 6), max_size=40),
-       start=st.integers(-1000, 1000))
-def test_runs_of_ints_are_the_loop(gap, steps, start):
-    # steps of 0 (equal values) and of exactly gap come up often
+       start=st.integers(-1000, 1000), block=st.integers(1, 64))
+@example(gap=2, steps=[0, 1, 4, 1, 3], start=0, block=2)
+def test_runs_of_ints_are_the_loop(gap, steps, start, block):
+    # steps of 0 (equal values) and of exactly gap come up often; the steps
+    # are taken a block at a time, so runs cross the blocks' ends
     values = start + np.cumsum(np.array(steps, dtype=np.int64))
-    got = runs(values, gap)
+    with mock.patch.object(maps, "_BLOCK", block):
+        got = runs(values, gap)
     assert got == reference_runs(values.tolist(), gap)
     assert all(type(v) is int for r in got for v in r)
 
@@ -613,50 +589,12 @@ def test_runs_of_ints_are_the_loop(gap, steps, start):
 @settings(max_examples=200, deadline=None)
 @given(gap=st.sampled_from([0.0, 0.125, 5e-3, 1.0]),
        ks=st.lists(st.integers(0, 400), max_size=40),
-       noise=st.lists(st.floats(0.0, 1.0), max_size=40))
-def test_runs_of_floats_are_the_loop(gap, ks, noise):
+       noise=st.lists(st.floats(0.0, 1.0), max_size=40), block=st.integers(1, 64))
+def test_runs_of_floats_are_the_loop(gap, ks, noise, block):
     # multiples of the gaps 0.125 and 1.0 differ by exactly gap, and drawn
     # floats add steps of every size; the loop subtracts as np.diff does
     values = np.sort(np.array([k * gap for k in ks] + noise, dtype=float))
-    got = runs(values, gap)
-    assert got == reference_runs(values.tolist(), gap)
-    assert all(type(v) is float for r in got for v in r)
-
-
-def reference_diff_runs(values, gap):
-    # every step of the whole array at once
-    if len(values) == 0:
-        return []
-    cuts = np.flatnonzero(np.diff(values) > gap)
-    return list(zip(values[np.r_[0, cuts + 1]].tolist(),
-                    values[np.r_[cuts, len(values) - 1]].tolist()))
-
-
-@st.composite
-def _stepped_values(draw):
-    # gaps of 1 and 2 on ints, 5e-3 on floats; steps of exactly the gap and
-    # of nothing come up often, and up to 200 values cross many blocks
-    gap = draw(st.sampled_from([1, 2, 5e-3]))
-    if gap == 5e-3:
-        step = st.one_of(st.sampled_from([0.0, 5e-3, 4e-3, 6e-3, 0.25]), st.floats(0.0, 0.02))
-        values = np.cumsum(np.array(draw(st.lists(step, max_size=200)), float))
-    else:
-        steps = np.array(draw(st.lists(st.integers(0, 5), max_size=200)), np.int64)
-        values = draw(st.integers(-1000, 1000)) + np.cumsum(steps)
-    return values, gap
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_stepped_values(), block=st.integers(1, 64))
-@example(case=(np.zeros(0, np.int64), 1), block=1)
-@example(case=(np.array([0.5]), 5e-3), block=1)
-@example(case=(np.array([0, 1, 2, 5, 6, 9]), 2), block=2)
-def test_runs_cut_a_block_at_a_time_equal_one_diff(case, block):
-    """Steps taken a block at a time, runs crossing the blocks' ends, give
-    the runs of one np.diff of the whole array, in the values' own type."""
-    values, gap = case
     with mock.patch.object(maps, "_BLOCK", block):
         got = runs(values, gap)
-    want = reference_diff_runs(values, gap)
-    assert got == want
-    assert all(type(v) is type(w) for r, q in zip(got, want) for v, w in zip(r, q))
+    assert got == reference_runs(values.tolist(), gap)
+    assert all(type(v) is float for r in got for v in r)
