@@ -60,39 +60,26 @@ class BackwardTree:
     levels: tuple           # levels[k] = sorted array of f^-k preimages
     truncated: bool         # True when some row hit the cap and was thinned
 
-    def row(self, k: int) -> np.ndarray:
-        return self.levels[k]
 
-    def deep_points(self, from_depth: int) -> np.ndarray:
-        """The distinct points of rows from_depth on, sorted."""
-        rows = self.levels[from_depth:]
-        pts = np.concatenate(rows) if rows else np.empty(0)
-        pts.resize(_keep(pts), refcheck=False)
-        return pts
-
-
-def _keep(pts: np.ndarray, mask=None) -> int:
-    """Move the points the mask marks to the front of pts, in order, and
-    return how many there are.  With no mask pts is sorted first and the
-    points kept are the distinct ones.  _BLOCK points are moved at a time,
+def _keep(pts: np.ndarray, mask: np.ndarray) -> tuple:
+    """Move the distinct points of the sorted pts that the mask marks to its
+    front, in order, and return (distinct, kept): how many distinct points
+    pts holds and how many were moved.  _BLOCK points are moved at a time,
     each block read before any of it is written, so nothing outgrows a block.
     """
-    if mask is None:
-        pts.sort()
-    kept, prev = 0, None
+    distinct, kept, prev = 0, 0, None
     for a in range(0, len(pts), _BLOCK):
         block = pts[a:a + _BLOCK]
-        if mask is None:
-            keep = np.empty(len(block), bool)
-            keep[0] = prev is None or block[0] != prev
-            np.not_equal(block[1:], block[:-1], out=keep[1:])
-            prev = block[-1]
-        else:
-            keep = mask[a:a + _BLOCK]
+        keep = np.empty(len(block), bool)
+        keep[0] = prev is None or block[0] != prev
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        prev = block[-1]
+        distinct += int(np.count_nonzero(keep))
+        keep &= mask[a:a + _BLOCK]
         block = block[keep]
         pts[kept:kept + len(block)] = block
         kept += len(block)
-    return kept
+    return distinct, kept
 
 
 def _thin(row: np.ndarray, cap: int) -> np.ndarray:
@@ -166,7 +153,7 @@ def _brackets(m: PiecewiseMap, b0: np.ndarray, b1: np.ndarray, r: float, pad: fl
 
 def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     """True where the forward orbit of [y-r, y+r] comes back over y, within
-    _RETURN_STEPS forward steps.
+    _RETURN_STEPS forward steps, for ys sorted ascending (repeats allowed).
 
     The points are binned by width r/8 and each bin [b0, b1] is bracketed.
     If its inner image covers the bin at some step, every member returns;
@@ -177,11 +164,6 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     """
     if len(ys) == 0:
         return np.zeros(0, bool)
-    order = None
-    if any(np.any(w[1:] < w[:-1])       # salpha hands them over sorted
-           for w in (ys[a - 1:a + _BLOCK] for a in range(1, len(ys), _BLOCK))):
-        order = np.argsort(ys, kind="stable")
-        ys = ys[order]
     starts = [np.zeros(1, np.intp)]
     for a in range(1, len(ys), _BLOCK):
         key = ys[a - 1:a + _BLOCK] / (r / 8.0)
@@ -201,8 +183,6 @@ def _returns_mask(m: PiecewiseMap, ys: np.ndarray, r: float) -> np.ndarray:
     first, size = starts[open_], counts[open_]
     open_ = np.arange(size.sum()) + np.repeat(first - (np.cumsum(size) - size), size)
     acc[open_] = _brackets(m, ys[open_], ys[open_], r, 0.0)[0]
-    if order is not None:
-        acc[order] = acc.copy()
     return acc
 
 
@@ -218,7 +198,7 @@ class SAlphaEstimate:
     n_points: int           # candidates the return probe kept
     degenerate: bool        # fewer than 10 surviving points
     truncated: bool
-    candidates: int         # deep points the return probe saw
+    candidates: int         # distinct deep points the return probe saw
 
 
 def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
@@ -228,14 +208,15 @@ def salpha(m: PiecewiseMap, x: float, depth: int = 30) -> SAlphaEstimate:
     """
     tree = build_backward_tree(m, x, depth)
     # the deep rows are the tail of the one array the tree's rows share; they
-    # are sorted, cleared of repeats and of the points that do not return in
-    # place
+    # are sorted and probed with their repeats (a repeat shares its point's
+    # bin and verdict), then cleared of repeats and of points that do not
+    # return, all in place
     rows, truncated = tree.levels, tree.truncated
     pts = rows[0].base[sum(len(r) for r in rows[:depth // 2]):]
     del tree, rows
-    candidates = _keep(pts)
-    pts = pts[:candidates]
-    pts = pts[:_keep(pts, _returns_mask(m, pts, _PROBE_RADIUS))]
+    pts.sort()
+    candidates, kept = _keep(pts, _returns_mask(m, pts, _PROBE_RADIUS))
+    pts = pts[:kept]
     ivs = tuple(Interval(a, b) for a, b in runs(pts, _CLUSTER_GAP))
     return SAlphaEstimate(x, depth, ivs, len(pts), len(pts) < _DEGENERATE, truncated,
                           candidates)

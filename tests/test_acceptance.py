@@ -203,7 +203,7 @@ def test_criterion_12_property_battery():
     @given(s=st.floats(1.1, 2.0), x=st.floats(0.05, 0.95), depth=st.integers(2, 8))
     def tree_soundness(s, x, depth):
         m = make_tent(s)
-        leaves = build_backward_tree(m, x, depth).row(depth)
+        leaves = build_backward_tree(m, x, depth).levels[depth]
         if len(leaves):
             assert np.max(np.abs(m.iterate(leaves, depth) - x)) <= 1e-9
 

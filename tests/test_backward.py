@@ -22,24 +22,24 @@ from unimodal.backward import _LEVEL_CAP, _RETURN_STEPS, _returns_mask, _thin
 class TestBackwardTree:
     def test_root_row(self):
         t = build_backward_tree(make_tent(1.8), 0.3, 4)
-        assert list(t.row(0)) == [0.3]
+        assert list(t.levels[0]) == [0.3]
         assert t.depth == 4
 
     def test_rows_sorted_and_genuine(self):
         m = make_tent(1.7)
         t = build_backward_tree(m, 0.4, 10)
         for k in range(1, 11):
-            row = t.row(k)
+            row = t.levels[k]
             assert np.all(np.diff(row) > 0)
             up = m(row)
-            prev = t.row(k - 1)
+            prev = t.levels[k - 1]
             for y in up:
                 assert np.min(np.abs(prev - y)) <= 1e-9
 
     def test_point_above_peak_has_no_preimages(self):
         t = build_backward_tree(make_tent(1.8), 0.95, 6)
         for k in range(1, 7):
-            assert len(t.row(k)) == 0
+            assert len(t.levels[k]) == 0
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ class TestBackwardTree:
         # full binary tree at s=2 overflows the level cap past depth 17
         t = build_backward_tree(make_tent(2.0), 0.3, 20)
         assert t.truncated
-        assert len(t.row(20)) <= 200_000
+        assert len(t.levels[20]) <= 200_000
 
 
 def assert_thinned(row, cap):
@@ -94,12 +94,17 @@ def reference_returns(m, ys, r):
     return acc
 
 
+def deep_points(tree, from_depth):
+    # the distinct points of rows from_depth on, sorted
+    return np.unique(np.concatenate(tree.levels[from_depth:]))
+
+
 class TestReturnProbe:
     @pytest.mark.parametrize("m", [make_tu(1.0), make_tu(1.003), make_logistic(3.9)],
                              ids=lambda m: m.label.split("|")[0])
     @pytest.mark.parametrize("r", [2e-3, 1e-5])
     def test_matches_per_point_reference(self, m, r):
-        ys = np.random.default_rng(7).uniform(0.0, 1.0, 400)
+        ys = np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 400))
         got = _returns_mask(m, ys, r)
         assert got.tolist() == reference_returns(m, ys, r).tolist()
 
@@ -109,20 +114,19 @@ class TestReturnProbe:
                              ids=lambda m: m.label.split("|")[0])
     @pytest.mark.parametrize("r", [2e-3, 1e-5])
     def test_clustered_points_match_per_point_reference(self, m, r, monkeypatch):
-        """Many points per bin of the bracket, the domain ends and c,
-        unsorted.  The order is checked and the bins cut a block at a time,
-        one point a block included.  Any bins of consecutive sorted points
-        give these verdicts, so the bins are a cost that only a spy sees:
-        the bracket loop gets one bin per key of r/8 of the sorted points."""
+        """Many points per bin of the bracket, the domain ends and c, the
+        bins cut a block at a time, one point a block included.  Any bins of
+        consecutive sorted points give these verdicts, so the bins are a
+        cost that only a spy sees: the bracket loop gets one bin per key of
+        r/8 of the points."""
         rng = np.random.default_rng(11)
         centres = rng.uniform(0.0, 1.0, 20)
         ys = (centres[:, None] + rng.uniform(-r / 8, r / 8, (20, 100))).ravel()
-        ys = rng.permutation(np.r_[np.clip(ys, 0.0, 1.0), 0.0, 1.0, m.critical])
+        ys = np.sort(np.r_[np.clip(ys, 0.0, 1.0), 0.0, 1.0, m.critical])
         want = reference_returns(m, ys, r).tolist()
-        pts = np.sort(ys)
-        key = np.floor(pts / (r / 8.0))
+        key = np.floor(ys / (r / 8.0))
         starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        ends = np.r_[starts[1:], len(pts)] - 1
+        ends = np.r_[starts[1:], len(ys)] - 1
         seen, brackets = [], backward._brackets
 
         def spy(m, b0, b1, r, pad):
@@ -135,7 +139,7 @@ class TestReturnProbe:
             with mock.patch.object(backward, "_BLOCK", block):
                 assert _returns_mask(m, ys, r).tolist() == want
             (b0, b1), = seen
-            assert np.array_equal(b0, pts[starts]) and np.array_equal(b1, pts[ends])
+            assert np.array_equal(b0, ys[starts]) and np.array_equal(b1, ys[ends])
             seen.clear()
 
     def test_empty_points(self):
@@ -173,25 +177,36 @@ def test_tree_rows_are_the_rows_built_one_by_one(m, x, depth):
     assert np.array_equal(tree.levels[0], row)
     for k in range(1, depth + 1):
         row = m.preimages_array(row)
-        assert np.array_equal(tree.row(k), row)
-        assert tree.row(k).base is tree.levels[0].base
+        assert np.array_equal(tree.levels[k], row)
+        assert tree.levels[k].base is tree.levels[0].base
 
 
 @settings(max_examples=40, deadline=None)
 @given(m=_MAPS, x=st.floats(0.0, 1.0), depth=st.integers(0, 10), block=st.integers(1, 64))
 @example(m=make_tent(1.8), x=0.0, depth=6, block=1)
 def test_salpha_keeps_the_distinct_deep_points_that_return(m, x, depth, block):
-    """salpha sees the distinct points of rows depth // 2 on, keeps those
-    whose probe returns and clusters them; it sorts out the repeats and the
-    survivors in place on the tree's own array and bins the probe's points
-    a block at a time, and any block size gives the same estimate.  At
-    x = 0 every row holds 0 and 1, so repeats meet across the blocks."""
+    """salpha sorts the points of rows depth // 2 on and probes them,
+    repeats included; it keeps the distinct ones whose probe returns and
+    clusters them.  The sort and the compaction work in place on the tree's
+    own array, the compaction and the probe's bins a block at a time, and
+    any block size gives the same estimate.  At x = 0 every row holds 0 and
+    1, so repeats meet across the blocks."""
     tree = build_backward_tree(m, x, depth)
-    pts = np.unique(np.concatenate(tree.levels[depth // 2:]))
+    rows = np.sort(np.concatenate(tree.levels[depth // 2:]))
+    pts = np.unique(rows)
     kept = pts[reference_returns(m, pts, backward._PROBE_RADIUS)]
-    with mock.patch.object(backward, "_BLOCK", block):
-        assert np.array_equal(tree.deep_points(depth // 2), pts)
+    seen, returns_mask = [], backward._returns_mask
+
+    def spy(m, ys, r):
+        seen.append(ys.copy())
+        return returns_mask(m, ys, r)
+
+    with mock.patch.object(backward, "_BLOCK", block), \
+            mock.patch.object(backward, "_returns_mask", spy):
         est = salpha(m, x, depth)
+    (probed,) = seen
+    assert np.all(probed[1:] >= probed[:-1])
+    assert np.array_equal(probed, rows)
     assert est.candidates == len(pts)
     assert est.n_points == len(kept)
     assert est.intervals == tuple(Interval(a, b) for a, b in runs(kept, backward._CLUSTER_GAP))
@@ -208,7 +223,7 @@ def test_salpha_peak_is_its_tree_and_points_plus_two_per_point(traced_peak):
     m = make_tent(2.0)
     salpha(m, 0.5, 10)
     tree = build_backward_tree(m, 0.5, 24)
-    pts = tree.deep_points(12)
+    pts = deep_points(tree, 12)
     held = sum(r.nbytes for r in tree.levels) + pts.nbytes
     points = len(pts)
     del tree, pts
@@ -228,7 +243,7 @@ def test_salpha_peak_is_two_arrays_of_its_points(traced_peak):
     25."""
     m = make_tent(2.0)
     salpha(m, 0.5, 10)
-    points = len(build_backward_tree(m, 0.5, 24).deep_points(12))
+    points = len(deep_points(build_backward_tree(m, 0.5, 24), 12))
     assert points > 1_000_000
     assert traced_peak(salpha, m, 0.5, 24) < 8 * points + 5 * points
 
@@ -237,7 +252,7 @@ def test_salpha_peak_is_two_arrays_of_its_points(traced_peak):
 @given(s=st.floats(1.0, 2.0, exclude_min=True))
 def test_bracketed_probe_equals_per_point_probe(s):
     m = make_tent(s)
-    ys = build_backward_tree(m, 0.5, 20).deep_points(10)
+    ys = deep_points(build_backward_tree(m, 0.5, 20), 10)
     assert np.array_equal(_returns_mask(m, ys, 2e-3), reference_returns(m, ys, 2e-3))
 
 
@@ -336,7 +351,7 @@ def test_tree_soundness(s, x, depth):
     """Iterating f depth times from any leaf reproduces the root."""
     m = make_tent(s)
     t = build_backward_tree(m, x, depth)
-    leaves = t.row(depth)
+    leaves = t.levels[depth]
     if len(leaves) == 0:
         return
     back = m.iterate(leaves, depth)
