@@ -501,8 +501,6 @@ def _components(g: GridGraph, cells: np.ndarray, pre, lab: np.ndarray, rec: np.n
             pre = [(a[live], b[live]) for a, b in pre]
             continue
         idx = np.flatnonzero(live)
-        if len(idx) == 0:
-            return
         starts = np.flatnonzero(np.diff(part[idx], prepend=-1))
         hashed = (cells[idx].astype(np.int64) * 0x9E3779B1) & 0xFFFFFFFF
         best = np.repeat(np.maximum.reduceat(hashed, starts), np.diff(starts, append=len(idx)))

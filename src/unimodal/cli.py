@@ -197,14 +197,12 @@ def cmd_verify(args, parser) -> int:
         parser.error("verify cross-checks are defined for the tent family only")
     m = _build_map(args, parser)
     nodes = analytic_nodes(args.s)
-    n = args.n
-    # with n < 1 eps is 0 and build_grid refuses the grid, naming the
-    # smallest n, instead of dividing by zero here
-    h = 1.0 / n if n > 0 else 0.0
-    eps = args.eps * h
-    cc = chain_classes(m, n, eps)
+    # the default jump size of two cells, the one the match tolerance below
+    # is calibrated at
+    cc = chain_classes(m, args.n)
+    h = cc.graph.h
 
-    report = {"map": m.label, "n": n, "eps": eps}
+    report = {"map": m.label, "n": args.n, "eps": cc.graph.eps}
     checks = []
     report["classes"] = [[[iv.lo, iv.hi] for iv in cc.support(i)] for i in range(len(cc))]
     edges = conley_graph(cc)
@@ -525,8 +523,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="oracle cross-check of the tower (tent family)")
     common(sp)
     sp.add_argument("--n", type=int, default=100_000, help="oracle grid cells")
-    sp.add_argument("--eps", type=float, default=2.0,
-                    help="chain jump size in cell widths, at least 1.5 (default 2)")
     sp.add_argument("--depth", type=int, default=24, help="backward tree depth")
 
     sp = sub.add_parser("bifurcation", help="render an attractor diagram (PGM + CSV)")

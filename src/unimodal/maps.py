@@ -595,28 +595,28 @@ def runs(values, gap):
     return list(zip(firsts, lasts))
 
 
-def _dist_point_to_union(x, ivs):
-    best = math.inf
-    for iv in ivs:
-        if iv.lo <= x <= iv.hi:
-            return 0.0
-        best = min(best, abs(x - iv.lo), abs(x - iv.hi))
-    return best
+def _dist_point_to_union(x, ivs, los):
+    """Distance from x to the sorted disjoint ivs, whose lower ends are los:
+    0.0 exactly when an interval covers x."""
+    # the nearest endpoints belong to the last interval that starts at or
+    # before x, or to the one after it; rounding is monotone, so no farther
+    # endpoint gives a smaller float
+    i = bisect.bisect_right(los, x) - 1
+    if i >= 0 and x <= ivs[i].hi:
+        return 0.0
+    return min(abs(x - e) for iv in ivs[max(i, 0):i + 2] for e in (iv.lo, iv.hi))
 
 
 def _directed_hausdorff(a_ivs, b_ivs):
-    cands = []
-    for iv in a_ivs:
-        cands.append(iv.lo)
-        cands.append(iv.hi)
+    a_los = [iv.lo for iv in a_ivs]
+    b_los = [iv.lo for iv in b_ivs]
+    cands = [e for iv in a_ivs for e in (iv.lo, iv.hi)]
     # farthest interior points sit at midpoints of gaps of b covered by a
     for g0, g1 in zip(b_ivs[:-1], b_ivs[1:]):
         mid = 0.5 * (g0.hi + g1.lo)
-        for iv in a_ivs:
-            if iv.lo <= mid <= iv.hi:
-                cands.append(mid)
-                break
-    return max(_dist_point_to_union(x, b_ivs) for x in cands)
+        if _dist_point_to_union(mid, a_ivs, a_los) == 0.0:
+            cands.append(mid)
+    return max(_dist_point_to_union(x, b_ivs, b_los) for x in cands)
 
 
 def hausdorff(a, b) -> float:

@@ -32,14 +32,21 @@ class TestGrid:
         m = make_tent(1.5)
         with pytest.raises(ValueError):
             build_grid(m, 50, 0.01)
-        with pytest.raises(ValueError):
-            build_grid(m, 1000, 0.0012)   # below 1.5 cells
-        for eps in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite and at least 1.5h"):
-                build_grid(m, 1000, eps)
         # 1.5 / n is one ulp below 1.5h: refused, and the ratio says so
         with pytest.raises(ValueError, match=r"\(1\.4999999999999998 cell widths\)"):
             build_grid(m, 10007, 1.5 / 10007)
+
+    @pytest.mark.parametrize("eps,limit", [
+        (float("nan"), "eps=nan must be finite and at least 1.5h=0.00075"),
+        (float("inf"), "eps=inf must be finite and at least 1.5h=0.00075"),
+        # below 1.5 cells: refused, naming the limit and the ratio
+        (1.2 / 2000, "eps=0.0006 must be finite and at least 1.5h=0.00075: "
+                     "below that no edges are certifiable (1.2 cell widths)"),
+    ], ids=["nan", "inf", "1.2-cell-widths"])
+    def test_bad_eps_is_refused_naming_the_limit(self, eps, limit):
+        with pytest.raises(ValueError) as exc:
+            build_grid(make_tent(1.5), 2000, eps)
+        assert limit in str(exc.value)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_default_eps_on_an_empty_grid_is_refused_by_name(self, n):

@@ -1,4 +1,5 @@
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from unimodal import (
     Interval,
     PiecewiseMap,
+    analytic_nodes,
+    chain_classes,
     hausdorff,
     make_logistic,
     make_tent,
@@ -18,6 +21,7 @@ from unimodal import (
 )
 from unimodal import backward, maps
 from unimodal.backward import build_backward_tree
+from unimodal.cli import match_nodes
 from unimodal.maps import TU_BASE_MU, MapStack, bisect_root, runs
 
 
@@ -54,6 +58,35 @@ def reference_preimages(m, y):
         if not out or x - out[-1] > 1e-12:
             out.append(x)
     return out
+
+
+def reference_hausdorff(a, b):
+    # Every point scans every interval: the distance from a point to a union
+    # is the least distance to an endpoint of an interval not covering it.
+    a, b = merge_intervals(a), merge_intervals(b)
+
+    def to_union(x, ivs):
+        best = math.inf
+        for iv in ivs:
+            if iv.lo <= x <= iv.hi:
+                return 0.0
+            best = min(best, abs(x - iv.lo), abs(x - iv.hi))
+        return best
+
+    def directed(a_ivs, b_ivs):
+        cands = []
+        for iv in a_ivs:
+            cands.append(iv.lo)
+            cands.append(iv.hi)
+        for g0, g1 in zip(b_ivs[:-1], b_ivs[1:]):
+            mid = 0.5 * (g0.hi + g1.lo)
+            for iv in a_ivs:
+                if iv.lo <= mid <= iv.hi:
+                    cands.append(mid)
+                    break
+        return max(to_union(x, b_ivs) for x in cands)
+
+    return max(directed(a, b), directed(b, a))
 
 
 # endpoints of the chord inserts for the u family, solved from the base map
@@ -101,6 +134,32 @@ class TestInterval:
 closed_intervals = st.lists(
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(lambda t: Interval(min(t), max(t))),
     max_size=6)
+
+
+# points, unions with shared endpoints and intervals on a coarse lattice,
+# and arbitrary floats
+_ends = st.one_of(st.integers(0, 16).map(lambda k: k / 16), st.floats(0.0, 1.0))
+some_intervals = st.lists(
+    st.tuples(_ends, _ends).map(lambda t: Interval(min(t), max(t))), min_size=1, max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=some_intervals, b=some_intervals)
+@example(a=[Interval(0.5, 0.5)], b=[Interval(0.0, 0.25), Interval(0.75, 1.0)])
+def test_hausdorff_equals_the_scan_of_every_interval(a, b):
+    assert hausdorff(a, b) == reference_hausdorff(a, b)
+
+
+def test_hausdorff_of_a_class_of_many_runs_is_quick():
+    # at 1.8 cell widths the attractor's class splits into 8,247 runs;
+    # scanning every run for each of ~25,000 points took 15 s
+    cc = chain_classes(make_tent(1.7911), 100_000, 1.8e-5)
+    assert [len(cc.support(k)) for k in range(len(cc))] == [1, 8247]
+    t0 = time.perf_counter()
+    rep = match_nodes(analytic_nodes(1.7911), cc, 4e-5)
+    assert time.perf_counter() - t0 < 1.0
+    # the distances the scan of every run gives
+    assert rep["pairs"] == [[0, 0, 5e-06], [1, 1, 2.4999999999997247e-05]]
 
 
 def inside(iv, union):

@@ -1,8 +1,9 @@
 """The README's examples run as written.
 
-The `>>>` session under "Library" goes through doctest, and every command
+The `>>>` session under "Library" goes through doctest, every command
 line transcript with output under "Command line" is compared line for
-line with what `cli.main` prints for the same arguments.
+line with what `cli.main` prints for the same arguments, and each row of
+that section's flag table lists the flags its subcommand's `--help` prints.
 """
 
 import doctest
@@ -62,3 +63,20 @@ def test_every_transcript_is_found():
 def test_transcript_is_what_main_prints(argv, expected, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def flag_table() -> dict:
+    """Subcommand -> the set of flags its row of the "Command line" table lists."""
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", section("Command line"), flags=re.M)
+    return {cmd: set(re.findall(r"`(--[\w-]+)`", flags)) for cmd, flags in rows}
+
+
+def test_flag_table_is_what_each_parser_reads(capsys):
+    table = flag_table()
+    assert sorted(table) == ["bifurcation", "nodes", "salpha", "verify"]
+    for cmd, flags in table.items():
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        printed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+        assert flags == printed - {"--help"}, cmd
