@@ -35,6 +35,7 @@ __all__ = [
     "SAlphaEstimate",
     "DenseOrbit",
     "build_backward_tree",
+    "check_depth",
     "salpha",
     "dense_backward_orbit",
 ]
@@ -90,14 +91,19 @@ def _thin(row: np.ndarray, cap: int) -> np.ndarray:
     return row[np.round(np.linspace(0, len(row) - 1, cap)).astype(np.int64)]
 
 
+def check_depth(depth: int) -> None:
+    """Refuse, naming the limit, a tree depth below 0 or past _MAX_TREE_DEPTH."""
+    if not 0 <= depth <= _MAX_TREE_DEPTH:
+        raise ValueError(f"depth must be in [0, {_MAX_TREE_DEPTH}], got {depth}")
+
+
 def build_backward_tree(m: PiecewiseMap, x: float, depth: int) -> BackwardTree:
     """All preimages of x down to the given depth, one sorted row per level.
 
     Rows beyond the cap are thinned evenly (extremes kept).  The rows are
     slices of one array, grown by each row as it comes.
     """
-    if not 0 <= depth <= _MAX_TREE_DEPTH:
-        raise ValueError(f"depth must be in [0, {_MAX_TREE_DEPTH}], got {depth}")
+    check_depth(depth)
     if not m.domain.contains(x):
         raise ValueError(f"x={x} outside the domain")
     pts = np.array([x], dtype=float)

@@ -15,6 +15,14 @@ first; the other cells are trimmed on runs and split by forward-backward
 search (Fleischer, Hendrickson & Pinar 2000), and the classes are glued
 by a union-find on arrays; numpy is all it needs.
 
+The grid's forward searches, the peel's and the Conley graph's, run on
+sorted run sets.  Cut wherever the windows turn, are empty or leave a
+gap, a run's windows are monotone and each overlaps or touches the next,
+so they hold exactly the hull of its end windows: a step costs the same
+on a run of any length.  The peel's backward search ends once it has
+found every cell the pivot reaches, a Conley search once it has met
+every other class.
+
 The chain-recurrent set is the intersection of the eps-chain-recurrent
 sets over all eps > 0, and one eps is enough to compute it on a fixed
 grid: the window bounds are monotone in eps - h under IEEE rounding, so a
@@ -48,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import Interval, PiecewiseMap, runs
+from .maps import Interval, PiecewiseMap
 
 __all__ = [
     "GridGraph",
@@ -83,6 +91,11 @@ class GridGraph:
     @property
     def h(self) -> float:
         return 1.0 / self.n
+
+    @cached_property
+    def _laps(self):
+        # one scan of neighbouring windows, read by the peel and the Conley graph
+        return _pieces(self)
 
 
 def build_grid(m: PiecewiseMap, n: int, eps: float) -> GridGraph:
@@ -152,11 +165,14 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _pieces(g: GridGraph):
     """The laps of the windows: each maximal run of cells with non-empty
     windows over which jlo and jhi both rise or both fall, as (first,
-    last, rising) triples; two on a unimodal grid.  Neighbouring cells are
+    last, rising) triples; two on a unimodal grid.  And the segments, the
+    laps cut again wherever neighbouring windows leave a gap, as arrays of
+    first and last cells: the windows of a segment's cells a .. b hold
+    [min(jlo[a], jlo[b]), max(jhi[a], jhi[b])].  Neighbouring cells are
     compared _BLOCK pairs at a time.
     """
     lo, hi, n = g.jlo, g.jhi, g.n
-    cuts = [np.zeros(0, np.int64)]
+    cuts, gaps = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     prev = None         # whether the last pair that moved rose
     for a in range(0, n - 1, _BLOCK):
         l1, h1 = lo[a + 1:a + _BLOCK + 1], hi[a + 1:a + _BLOCK + 1]
@@ -171,12 +187,15 @@ def _pieces(g: GridGraph):
         if len(moved):
             prev = rising[-1:]
         cuts.append(np.flatnonzero(cut) + a)
+        gaps.append(np.flatnonzero(cut | (l1 - 1 > h0) | (l0 - 1 > h1)) + a)
     cut = np.concatenate(cuts)
     first, last = np.r_[0, cut + 1], np.r_[cut, n - 1]
     keep = lo[first] <= hi[first]       # an empty window is a piece of one cell
     first, last = first[keep], last[keep]
     rising = ~((lo[last] < lo[first]) | (hi[last] < hi[first]))
-    return list(zip(first.tolist(), last.tolist(), rising.tolist()))
+    gap = np.concatenate(gaps)
+    return (list(zip(first.tolist(), last.tolist(), rising.tolist())),
+            (np.r_[0, gap + 1].astype(lo.dtype), np.r_[gap, n - 1].astype(lo.dtype)))
 
 
 def _pairs(first: np.ndarray, count: np.ndarray):
@@ -187,18 +206,18 @@ def _pairs(first: np.ndarray, count: np.ndarray):
 
 
 def _meet(alo, ahi, blo, bhi):
-    """The cells of both run sets, as runs; each set is sorted runs that
-    neither overlap nor touch, and so is the result."""
+    """The cells of both run sets, as runs; each set is sorted runs that do
+    not overlap, and so is the result."""
     first = np.searchsorted(bhi, alo)
     a, b = _pairs(first, np.searchsorted(blo, ahi, side="right") - first)
     return np.maximum(alo[a], blo[b]), np.minimum(ahi[a], bhi[b])
 
 
-def _mask_runs(mask: np.ndarray):
-    """The runs of the cells the mask marks, as first and last cells."""
+def _gaps(mask: np.ndarray):
+    """The runs of the cells the mask leaves unmarked, as first and last cells."""
     bounds = np.concatenate(([0], np.flatnonzero(mask[1:] != mask[:-1]) + 1, [len(mask)]))
     first = bounds[:-1]
-    keep = mask[first]
+    keep = ~mask[first]
     return first[keep], bounds[1:][keep] - 1
 
 
@@ -256,32 +275,50 @@ def _count_upto(ends: np.ndarray, shift: int, n: int) -> np.ndarray:
     return count
 
 
-def _search(lo, hi, seen: np.ndarray, inside: Optional[np.ndarray] = None) -> np.ndarray:
+def _search(lo, hi, seen: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Mark in seen every cell reachable from the cells it marks, through
-    cells that inside marks (any cell when None); return seen.  Cell i
-    steps to the cells lo[k][i] .. hi[k][i] of each k.
+    cells that inside marks; return seen.  Cell i steps to the cells
+    lo[k][i] .. hi[k][i] of each k.
 
-    The search runs breadth first.  A run of windows that overlap or
-    touch, with no gap, covers exactly its hull, so the merged hulls
-    (`_hulls`) of the sorted frontier's windows expand once into the next
-    sorted frontier, and no expanded cell is sorted.
+    The search runs breadth first: the union (`_union`) of the sorted
+    frontier's windows expands once into the next sorted frontier, and no
+    expanded cell is sorted.
     """
     frontier = np.flatnonzero(seen)
     while len(frontier):
-        nxt = _expand(*_hulls(*(w[0][frontier] if len(w) == 1
-                                else np.concatenate([v[frontier] for v in w]) for w in (lo, hi))))
-        keep = ~seen[nxt]
-        if inside is not None:
-            keep &= inside[nxt]
-        frontier = nxt[keep]
-        del nxt, keep
+        nxt = _expand(*_union(*(np.concatenate([v[frontier] for v in w]) for w in (lo, hi)))[:2])
+        frontier = nxt[~seen[nxt] & inside[nxt]]
+        del nxt
         seen[frontier] = True
     return seen
 
 
-def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _reach(g: GridGraph, lo: np.ndarray, hi: np.ndarray, stop=None):
+    """The cells that the runs lo, hi reach, themselves included, as a run
+    set (`_union`).  Breadth first: each step takes the hull of the end
+    windows of each frontier run, cut at the segments (`_pieces`), and the
+    runs of what is seen that it adds or grows are the next frontier.
+    stop, when given, is called with the seeds and with each frontier, and
+    the search ends once it returns true.
+    """
+    first, last = g._laps[1]
+    new = lo, hi = _union(lo, hi)[:2]
+    while len(new[0]) and not (stop and stop(*new)):
+        a, b = new
+        if (last.searchsorted(a) != last.searchsorted(b)).any():
+            a, b = _meet(a, b, first, last)
+        ulo, uhi, start = _union(np.concatenate((lo, np.minimum(g.jlo[a], g.jlo[b]))),
+                                 np.concatenate((hi, np.maximum(g.jhi[a], g.jhi[b]))))
+        # a run is as it was when it starts with a run of seen and ends there
+        grown = (start >= len(lo)) | (hi[np.minimum(start, len(lo) - 1)] != uhi)
+        new, lo, hi = (ulo[grown], uhi[grown]), ulo, uhi
+    return lo, hi
+
+
+def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray, total: int) -> np.ndarray:
     """Mark in seen every cell that inside marks and that reaches a cell
-    seen marks through such cells; return seen.
+    seen marks through such cells; return seen once it holds all the total
+    cells of inside.
 
     The search runs breadth first over the reversed windows (`_reversed`),
     _STEP frontier cells at a time.  For a sorted block of the frontier a
@@ -292,6 +329,7 @@ def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray) -> np.ndarray
     """
     order = [slice(None) if rising else slice(None, None, -1) for _, _, rising in pieces]
     frontier = [np.flatnonzero(seen)]
+    count = len(frontier[0])
     while frontier:
         found = []
         while frontier:
@@ -319,6 +357,9 @@ def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray) -> np.ndarray
                 cells = _expand(*(np.concatenate(w) for w in zip(*windows)))
                 cells = cells[inside[cells] & ~seen[cells]]
                 seen[cells] = True
+                count += len(cells)
+                if count == total:
+                    return seen
                 if len(cells):
                     found.append(cells)
         frontier = found
@@ -537,31 +578,27 @@ def recurrent_cells(g: GridGraph):
 
     The component of the pivot, the first cell of largest jhi, is peeled
     first (Fleischer, Hendrickson & Pinar 2000): the cells the pivot
-    reaches (`_search`) that reach it back, found by a search of the
-    reversed windows (`_reversed`, `_reach_back`) kept to the cells it
-    reaches.  The other cells are trimmed on runs (`_trim`) until they fit
-    in a 32nd of the grid; `_components` finishes the trim cell by cell
+    reaches on run sets (`_reach`) that reach it back, found by a search
+    of the reversed windows (`_reversed`, `_reach_back`) kept to the cells
+    it reaches.  The other cells are trimmed on runs (`_trim`) until they
+    fit in a 32nd of the grid; `_components` finishes the trim cell by cell
     and splits what is left, from those cells' reversed windows alone, so
     the mask and the labels are made once the grid's are let go.  Every
     search runs on the windows themselves, and no edge list is made.
     """
     n = g.n
-    pieces = _pieces(g)
+    pieces = g._laps[0]
     pivot = int(np.argmax(g.jhi))
+    lo, hi = _reach(g, *np.full((2, 1), pivot, g.jlo.dtype))
     fwd = np.zeros(n, bool)
-    fwd[pivot] = True
-    _search([g.jlo], [g.jhi], fwd)
+    fwd[_expand(lo, hi)] = True
     rev = _reversed(g, pieces)
     comp = np.zeros(n, bool)
     comp[pivot] = True
-    _reach_back(rev, pieces, comp, fwd)
+    _reach_back(rev, pieces, comp, fwd, int(np.sum(hi - lo + 1)))
     del fwd
-    # the cells outside the pivot's component, the gaps between its runs,
-    # trimmed on runs
-    lo, hi = _mask_runs(comp)
-    lo, hi = np.append(0, hi + 1), np.append(lo - 1, n - 1)
-    keep = lo <= hi
-    lo, hi = lo[keep].astype(g.jlo.dtype), hi[keep].astype(g.jlo.dtype)
+    # the cells outside the pivot's component, trimmed on runs
+    lo, hi = (c.astype(g.jlo.dtype) for c in _gaps(comp))
     lo, hi = _trim(g, pieces, rev, lo, hi)
     cells = _expand(lo, hi)
     pre = [(f[cells], b[cells]) for f, b in zip(*rev)]
@@ -588,13 +625,15 @@ class ChainClasses:
     recurrent cells lie at most three cells apart, ordered by the maximum
     of f over their centers, which on a tower runs from the boundary fixed
     class up to the attractor.  Each class is its sorted cells, a slice of
-    one int64 array of every recurrent cell.  `graph` is that graph; its
-    `eps` is the one jump size the classes were computed at.
+    one int64 array of every recurrent cell, and its runs of consecutive
+    cells are the rows (first, last) of an int64 array.  `graph` is that
+    graph; its `eps` is the one jump size the classes were computed at.
     """
 
     n: int
     classes: tuple          # tuple of int64 arrays of cell indices
     graph: GridGraph        # the eps-chain graph, reused for reachability
+    runs: tuple             # tuple of int64 arrays of (first, last) rows
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -605,10 +644,10 @@ class ChainClasses:
 
     @cached_property
     def _supports(self):
-        # each class's runs split once, however often its support is read
+        # the intervals made once, however often a support is read
         h = self.graph.h
-        return [[Interval((lo + 0.5) * h, (hi + 0.5) * h) for lo, hi in runs(cs, 1)]
-                for cs in self.classes]
+        return [[Interval((lo + 0.5) * h, (hi + 0.5) * h) for lo, hi in r.tolist()]
+                for r in self.runs]
 
 
 def _label_runs(rec: np.ndarray, lab: np.ndarray):
@@ -666,15 +705,20 @@ def chain_classes(m: PiecewiseMap, n: int, eps: Optional[float] = None) -> Chain
     cells = np.ones(int(at[-1] + size[-1]), np.int64)
     cells[at] = first - np.append(0, last[:-1])
     np.cumsum(cells, out=cells)
-    starts = at[np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])]
+    split = np.r_[True, comp[1:] != comp[:-1]]
+    starts = at[np.flatnonzero(split)]
     bounds = np.append(starts, len(cells))
     groups = [cells[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    # each class's runs of consecutive cells: its runs, those that touch joined
+    head = split | np.r_[True, first[1:] > last[:-1] + 1]
+    spans = np.split(np.stack((first[head], last[np.r_[head[1:], True]]), axis=1),
+                     np.flatnonzero(split[head])[1:])
     # order classes by the maximum of f over their centers, ties by their
     # first cell; f is taken a block at a time, so no temporary outgrows a block
     tops = [max(float(m((cs[a:a + _BLOCK] + 0.5) * h).max()) for a in range(0, len(cs), _BLOCK))
             for cs in groups]
-    classes = tuple(groups[i] for i in np.lexsort((cells[starts], tops)))
-    return ChainClasses(n, classes, g)
+    rank = np.lexsort((cells[starts], tops))
+    return ChainClasses(n, tuple(groups[i] for i in rank), g, tuple(spans[i] for i in rank))
 
 
 def _link(k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -696,65 +740,61 @@ def _link(k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = up
 
 
-def _near(cs: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the cells within two cells of cs, outside cs: the mask of cs
-    shifted by one and two cells either way, so no index array is copied."""
-    inside = np.zeros(n, bool)
-    inside[cs] = True
-    near = np.zeros(n, bool)
-    for d in (1, 2):
-        near[d:] |= inside[:-d]
-        near[:-d] |= inside[d:]
-    near[cs] = False
-    return near
-
-
-def _hulls(lo: np.ndarray, hi: np.ndarray):
-    """The union of the windows lo[k] .. hi[k] as sorted disjoint windows
-    that neither overlap nor touch (empty ones may be among them).
-
-    A run of consecutive windows, each overlapping or touching the next
-    and none empty, covers exactly its hull [min lo, max hi]; an empty
-    window is a run of its own.  The run ends are marked _BLOCK windows at
-    a time, a byte a window, and the hulls are merged by a stable sort on
-    their lows and a running max of their highs.
+def _union(lo: np.ndarray, hi: np.ndarray):
+    """The cells of the windows lo[k] .. hi[k] (none when lo[k] > hi[k]) as
+    a run set: the first and last cells of sorted runs that neither overlap
+    nor touch.  Also the window each run starts with, numbered among the
+    non-empty ones: the first of those with the run's first cell.  A stable
+    sort on the lows merges sorted stretches in linear time.
     """
-    cut = np.empty(len(lo), bool)
-    cut[:1] = True
-    for a in range(1, len(lo), _BLOCK):
-        l, h = lo[a - 1:a + _BLOCK], hi[a - 1:a + _BLOCK]
-        c = cut[a:a + _BLOCK]
-        np.greater(l[1:] - 1, h[:-1], out=c)
-        c |= l[:-1] - 1 > h[1:]
-        c |= l[1:] > h[1:]
-        c |= l[:-1] > h[:-1]
-    starts = np.flatnonzero(cut)
-    del cut
-    hlo = np.minimum.reduceat(lo, starts)
-    hhi = np.maximum.reduceat(hi, starts)
-    order = np.argsort(hlo, kind="stable")
-    hlo, hhi = hlo[order], np.maximum.accumulate(hhi[order])
-    new = np.empty(len(hlo) + 1, bool)
-    new[[0, -1]] = True
-    np.greater(hlo[1:] - 1, hhi[:-1], out=new[1:-1])
-    return hlo[new[:-1]], hhi[new[1:]]
+    keep = lo <= hi
+    lo, hi = lo[keep], hi[keep]
+    order = lo.argsort(kind="stable")
+    lo, hi = lo[order], hi[order]
+    np.maximum.accumulate(hi, out=hi)
+    new = np.empty(len(lo) + 1, bool)
+    new[0] = new[-1] = True
+    np.greater(lo[1:] - 1, hi[:-1], out=new[1:-1])
+    return lo[new[:-1]], hi[new[1:]], order[new[:-1]]
 
 
 def conley_graph(cc: ChainClasses):
     """Reachability edges between classes in the eps-chain graph.
 
     An edge i -> j is recorded when some cell within two cells of class i
-    (but outside it) reaches class j along graph edges (`_search`); this
-    captures both genuine escape routes and orbits grazing past a
-    repelling class.
+    (but outside it) reaches class j along graph edges; this captures both
+    genuine escape routes and orbits grazing past a repelling class.  The
+    reach is found on run sets (`_reach`): cut wherever the windows turn,
+    are empty or leave a gap, a run's windows are monotone and each
+    overlaps or touches the next, so they hold exactly the hull of its end
+    windows.  The search from a class ends once it has met every other.
     """
-    g = cc.graph
+    g, k = cc.graph, len(cc)
+    # the runs of every class in one sorted run set, each with its class
+    first, last = np.concatenate(cc.runs).astype(g.jlo.dtype).T
+    whose = np.repeat(np.arange(k), [len(r) for r in cc.runs])
+    order = np.argsort(first)
+    first, last, whose = first[order], last[order], whose[order]
     edges = []
-    for i, cs in enumerate(cc.classes):
-        seen = _search([g.jlo], [g.jhi], _near(cs, g.n))
-        for j in range(len(cc.classes)):
-            if j != i and seen[cc.classes[j]].any():
-                edges.append((i, j))
+    for i in range(k):
+        mine, hit = whose == i, np.arange(k) == i
+        lo, hi, starts, ends = first[mine], last[mine], first[~mine], last[~mine]
+        other = whose[~mine]
+
+        def stop(a, b):
+            # mark the classes the runs a .. b meet; true once all are met
+            at = ends.searchsorted(a)
+            count = starts.searchsorted(b, side="right") - at
+            if count.any():
+                hit[other[_pairs(at, count)[1]]] = True
+            return hit.all()
+
+        # the cells within two cells of the class: the ends of its gaps
+        gap_lo = np.concatenate(([0], hi[:-1] + 1), dtype=lo.dtype)
+        gap_hi = np.concatenate((lo[1:] - 1, [g.n - 1]), dtype=lo.dtype)
+        _reach(g, *_union(np.concatenate((np.maximum(lo - 2, gap_lo), hi + 1)),
+                          np.concatenate((lo - 1, np.minimum(hi + 2, gap_hi))))[:2], stop)
+        edges += [(i, j) for j in range(k) if j != i and hit[j]]
     return edges
 
 

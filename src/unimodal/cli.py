@@ -195,6 +195,8 @@ def cmd_verify(args, parser) -> int:
     # follows the map's slope and tu_nodes gives N_1 that Cantor support.
     if args.family != "tent":
         parser.error("verify cross-checks are defined for the tent family only")
+    # the s-alpha checks run last; their tree depth is refused before the oracle runs
+    backward.check_depth(args.depth)
     m = _build_map(args, parser)
     nodes = analytic_nodes(args.s)
     # the default jump size of two cells, the one the match tolerance below

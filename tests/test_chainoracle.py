@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import unimodal.chainoracle as chainoracle
-from unimodal.maps import TU_BASE_MU
+from unimodal.maps import TU_BASE_MU, runs
 
 from unimodal import (
     ChainClasses,
@@ -299,7 +299,8 @@ def test_analytic_sets_inside_oracle(s):
 #   overlapping runs past 2^31 cells would overflow;
 # - _pieces, _reversed: a lap cut too often gives the same components, only
 #   slower, so the laps and their predecessor runs are pinned here;
-# - _components: the cells the run trim leaves it are a cost, not an output.
+# - _components: the cells the run trim leaves it are a cost, not an output;
+# - _reach_back: where the peel's backward search stops is a cost too.
 # ---------------------------------------------------------------------------
 
 def reference_grid(m, n, eps):
@@ -364,6 +365,12 @@ def reference_grouping(m, n, rec, lab):
     fvals = dict(zip(cells.tolist(), m((cells + 0.5) * h).tolist()))
     ordered = sorted(groups.values(), key=lambda cs: max(fvals[c] for c in cs))
     return tuple(np.array(sorted(cs), dtype=np.int64) for cs in ordered)
+
+
+def reference_classes(n, classes, g):
+    # the classes with their runs of consecutive cells split by `maps.runs`
+    spans = tuple(np.array(runs(cs, 1), np.int64).reshape(-1, 2) for cs in classes)
+    return ChainClasses(n, classes, g, spans)
 
 
 def reference_conley_graph(cc):
@@ -558,7 +565,7 @@ def test_reversed_windows_hold_the_predecessors(m, k):
     piece."""
     n = 1000
     g = build_grid(m, n, k / n)
-    pieces = chainoracle._pieces(g)
+    pieces, _ = chainoracle._pieces(g)
     assert len(pieces) <= 2
     assert [p0 for p0, _, _ in pieces] == [0] + [p1 + 1 for _, p1, _ in pieces[:-1]]
     assert pieces[-1][1] == n - 1
@@ -614,6 +621,32 @@ def test_trim_on_runs_leaves_a_32nd_of_the_grid(s):
     with mock.patch.object(chainoracle, "_components", spy):
         recurrent_cells(build_grid(make_tent(s), n, 2 / n))
     assert sizes and max(sizes) <= n // 32
+
+
+def test_backward_peel_stops_once_its_component_is_whole():
+    """At s = 2 every cell is in the pivot's component, and each level of
+    the peel's backward search expands twice its frontier.  The search
+    ends at the block that finds the last of the cells the pivot reaches:
+    262,142 cells expanded here (1.31n; 1.05n at n = 1e6, where the last
+    level finds more of the grid).  Searching on until a level found
+    nothing expanded that last level's finds too, 2n in all."""
+    n = 200_000
+    g = build_grid(make_tent(2.0), n, 2 / n)
+    reach_back, expand, expanded = chainoracle._reach_back, chainoracle._expand, []
+
+    def counted(lo, hi):
+        cells = expand(lo, hi)
+        expanded.append(len(cells))
+        return cells
+
+    def spy(*args):
+        with mock.patch.object(chainoracle, "_expand", counted):
+            return reach_back(*args)
+
+    with mock.patch.object(chainoracle, "_reach_back", spy):
+        mask, _ = recurrent_cells(g)
+    assert mask.all()
+    assert 0 < sum(expanded) <= 1.35 * n
 
 
 def test_trim_rounds_rescan_no_dead_level():
@@ -705,13 +738,16 @@ def test_finest_rung_oracle_matches_reference(case):
         fine = build_grid(m, n, e)
         rung, lab = reference_recurrent_cells(fine)
         rec &= rung
-    ref = ChainClasses(n, reference_grouping(m, n, rec, lab), fine)
+    ref = reference_classes(n, reference_grouping(m, n, rec, lab), fine)
     with mock.patch.object(chainoracle, "_BLOCK", block):
         cc = chain_classes(m, n, eps[-1])
         edges = conley_graph(cc)
     assert cc.graph.eps == eps[-1]
     assert len(cc.classes) == len(ref.classes)
     for got, want in zip(cc.classes, ref.classes):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    for got, want in zip(cc.runs, ref.runs):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     assert edges == reference_conley_graph(ref)
@@ -736,15 +772,16 @@ def test_run_scan_at_any_block_groups_as_the_cell_wise_reference(case, block):
     """chain_classes scans the recurrent cells and their labels a block at
     a time into runs, and glues only the ends of consecutive runs; runs
     across the blocks' ends, labels shared by runs far apart and classes
-    tied on f give the classes of the cell-by-cell union-find."""
+    tied on f give the classes of the cell-by-cell union-find, and runs of
+    one class that touch join into one run of consecutive cells."""
     s, n, rec, lab = case
     m = make_tent(s)
     with mock.patch.object(chainoracle, "recurrent_cells", lambda g: (rec.copy(), lab.copy())), \
             mock.patch.object(chainoracle, "_BLOCK", block):
         cc = chain_classes(m, n)
-    want = reference_grouping(m, n, rec, lab)
-    assert len(cc.classes) == len(want)
-    for got, cells in zip(cc.classes, want):
+    want = reference_classes(n, reference_grouping(m, n, rec, lab), cc.graph)
+    assert len(cc.classes) == len(want.classes)
+    for got, cells in zip(cc.classes + cc.runs, want.classes + want.runs):
         assert got.dtype == cells.dtype
         assert np.array_equal(got, cells)
 
@@ -787,6 +824,39 @@ def test_conley_hulls_across_gaps_equal_reference(m, n, k):
     assert conley_graph(cc) == reference_conley_graph(cc)
 
 
+@st.composite
+def _reach_case(draw):
+    make, lo, hi = _MAPS[draw(st.sampled_from(sorted(_MAPS)))]
+    n = draw(st.integers(100, 20_000))
+    return make(draw(st.floats(lo, hi, exclude_min=True))), n, draw(st.floats(1.5, 8.0)) / n
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_reach_case())
+@example(case=(make_tent(1.01), 20_000, 2 / 20_000))
+@example(case=(make_tent(1.5), 20_000, 1.6 / 20_000))
+@example(case=(make_logistic(4.0), 20_000, 2 / 20_000))
+@example(case=(make_tu(1.0), 20_000, 2 / 20_000))
+@example(case=(make_logistic(3.83), 100, 8 / 100))
+def test_run_set_reach_equals_the_cell_level_reference(case):
+    """The forward reach of the peel and of the Conley graph runs on run
+    sets, each run cut where the windows turn or leave a gap.  On tent,
+    logistic and tu grids from 1.5h, where neighbouring windows leave
+    gaps, to 8h, and on maps steeper than the 1.5h floor keeps whole, the
+    strong components are scipy's and the Conley edges the per-cell
+    search's."""
+    m, n, eps = case
+    eps = max(eps, 1.5 * (1.0 / n))
+    g = build_grid(m, n, eps)
+    mask, lab = recurrent_cells(g)
+    want_mask, want_lab = reference_recurrent_cells(g)
+    assert np.array_equal(mask, want_mask)
+    pairs = np.unique(np.stack([lab, want_lab]), axis=1)
+    assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
+    cc = chain_classes(m, n, eps)
+    assert conley_graph(cc) == reference_conley_graph(cc)
+
+
 def test_conley_hulls_skip_an_empty_window():
     """A hand-built grid of self-loops with empty windows (jlo > jhi) in
     the frontiers.  Class 0's frontier sends 13 to the empty [45, 44] and
@@ -800,30 +870,32 @@ def test_conley_hulls_skip_an_empty_window():
                          (72, 41, 40), (73, 39, 41)]:
         jlo[cell], jhi[cell] = lo, hi
     classes = tuple(np.array(c, dtype=np.int64) for c in ([10, 11], [40, 41], [70, 71]))
-    cc = ChainClasses(n, classes, GridGraph(n, 2.0 / n, jlo, jhi))
+    cc = reference_classes(n, classes, GridGraph(n, 2.0 / n, jlo, jhi))
     assert conley_graph(cc) == reference_conley_graph(cc) == [(0, 2), (2, 1)]
 
 
-def test_conley_graph_peak_is_a_few_bytes_a_cell(traced_peak):
-    """At s = 2 one class holds every recurrent cell.  Its seeds take two
-    masks of the grid, a byte a cell each; shifting the int64 class and
-    clipping the shift held 16 bytes a class cell."""
+def test_conley_graph_peak_is_a_few_kilobytes(traced_peak):
+    """At s = 2 one class holds every recurrent cell, so no search runs:
+    the peak is its runs and its halo, 4.3 kB at n = 2e5.  Seeding the
+    search from two masks of the grid held 2 bytes a cell (400 kB)."""
     n = 200_000
     m = make_tent(2.0)
     conley_graph(chain_classes(m, 1000))
     cc = chain_classes(m, n)
     assert len(cc) == 1 and len(cc.classes[0]) > n // 2
-    assert traced_peak(conley_graph, cc) < 4 * n
+    assert traced_peak(conley_graph, cc) < 8 * 1024
 
 
-@pytest.mark.parametrize("s, per_cell", [(1.4, 6), (1.8, 9)])
-def test_conley_search_peak_is_a_few_bytes_a_cell(s, per_cell, traced_peak):
-    """Below s = 2 there are two or three classes, so the search from
-    their seeds runs; its frontiers and hulls peak at 5.1 bytes a cell at
-    s = 1.4 and 8.0 at s = 1.8."""
+@pytest.mark.parametrize("s", [1.4, 1.8])
+def test_conley_search_peak_is_a_few_kilobytes(s, traced_peak):
+    """Below s = 2 there are two or three classes, and the search from
+    each runs on run sets of a few dozen runs, so nothing of the grid's
+    size is made: the peak is 9.9 kB at s = 1.4 and 9.1 kB at s = 1.8, at
+    n = 2e5.  Searching frontiers of cells, with a mask of the grid per
+    class, peaked at 4.4 and 6.7 bytes a cell (0.88 and 1.34 MB)."""
     n = 200_000
     m = make_tent(s)
     conley_graph(chain_classes(m, 1000))
     cc = chain_classes(m, n)
     assert len(cc) > 1
-    assert traced_peak(conley_graph, cc) < per_cell * n
+    assert traced_peak(conley_graph, cc) < 16 * 1024

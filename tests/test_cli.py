@@ -105,15 +105,16 @@ class TestVerify:
         assert doc["classes"] == want
 
     def test_each_class_support_is_split_once(self, capsys, monkeypatch):
-        # the report's classes and the match read the same supports
+        # the report's classes and the match read the same supports: each
+        # interval is made once, from the runs chain_classes wrote
         calls = []
-        split = unimodal.chainoracle.runs
-        monkeypatch.setattr(unimodal.chainoracle, "runs",
-                            lambda values, gap: calls.append(len(values)) or split(values, gap))
+        interval = unimodal.chainoracle.Interval
+        monkeypatch.setattr(unimodal.chainoracle, "Interval",
+                            lambda lo, hi: calls.append(lo) or interval(lo, hi))
         _, out, _ = run(["verify", "--s", "1.3", "--n", "20000", "--json"], capsys)
         doc = json.loads(out)
         assert len(doc["classes"]) == len(doc["match"]["pairs"]) == 3
-        assert len(calls) == 3
+        assert len(calls) == sum(len(c) for c in doc["classes"])
 
     def test_expansion_past_budget_fails_with_exit_1(self, capsys):
         # just above sqrt(2) the cover time outruns the step budget
@@ -154,6 +155,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert limit in err
+
+    @pytest.mark.parametrize("depth", ["49", "-1"])
+    def test_bad_depth_exits_2_before_the_oracle_runs(self, capsys, monkeypatch, depth):
+        calls = []
+        monkeypatch.setattr(cli, "chain_classes", lambda *args: calls.append(args))
+        code, out, err = run(["verify", "--s", "1.8", "--n", "1000000", "--depth", depth],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert f"depth must be in [0, 48], got {depth}" in err
+        assert calls == []
 
     def test_non_tent_family_exits_2(self, capsys):
         # the oracle reads tu's N_1 as a Cantor node and, at the default
