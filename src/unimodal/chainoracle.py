@@ -222,57 +222,71 @@ def _gaps(mask: np.ndarray):
 
 
 def _reversed(g: GridGraph, pieces):
-    """The reversed windows: per piece, the first and last of its cells whose
-    windows hold each cell j, as two arrays over j (empty where first >
-    last).  On a piece jlo and jhi are monotone, so those cells are one
-    run.  Read in rising order, the piece's windows that end before j
-    number the first of them and the windows that start at or before j
-    one past the last (`_count_upto`).
+    """The reversed windows: per piece, the first of its cells whose windows
+    hold each cell j and how many do, as a pair of arrays over j (`_held`).
+    On a piece jlo and jhi are monotone, so those cells are one run.  Read
+    in rising order, the piece's windows that end before j number the first
+    of them and the windows that start at or before j one past the last
+    (`_count_upto`), so both come a block at a time and no last cell is
+    kept.  The first cells are in the dtype of the grid, the counts in the
+    narrowest unsigned dtype that holds the piece's largest.  On a lap of
+    slope at least lam the centers' images lie lam*h apart, so at most
+    2(eps - h)/(lam*h) + 2 windows hold a cell: 3 on a tent grid at 2h
+    (lam = s > 1), and a byte holds them while eps <= 126s*h.  Near a flat
+    critical point they pile up: logistic(4.0) at 2h, n = 1e6 takes a uint16.
     """
     n = g.n
-    first, last = [], []
+    rev = []
     for p0, p1, rising in pieces:
         jlo, jhi = g.jlo[p0:p1 + 1], g.jhi[p0:p1 + 1]
         if not rising:
             jlo, jhi = jlo[::-1], jhi[::-1]
-        before, upto = _count_upto(jhi, 1, n), _count_upto(jlo, 0, n)
-        if rising:
-            before += p0
-            upto += p0 - 1
-            first.append(before)
-            last.append(upto)
-        else:
-            np.subtract(p1 + 1, upto, out=upto)
-            np.subtract(p1, before, out=before)
-            first.append(upto)
-            last.append(before)
-    return first, last
+        first, count = np.empty(n, jlo.dtype), np.empty(n, np.uint8)
+        for a, before, upto in zip(range(0, n, _BLOCK), _count_upto(jhi, 1, n),
+                                   _count_upto(jlo, 0, n)):
+            held = upto - before
+            top = held.max()
+            if top > np.iinfo(count.dtype).max:
+                count = count.astype(np.min_scalar_type(top))
+            count[a:a + _BLOCK] = held
+            first[a:a + _BLOCK] = p0 + before if rising else p1 + 1 - upto
+        rev.append((first, count))
+    return rev
 
 
-def _count_upto(ends: np.ndarray, shift: int, n: int) -> np.ndarray:
+def _held(lap, j):
+    """The first and last cells of a lap whose windows hold each cell j
+    (first > last where none does), from its reversed windows, in the dtype
+    of the cells."""
+    first, count = lap
+    lo = first[j]
+    return lo, np.add(lo, count[j], dtype=lo.dtype) - 1
+
+
+def _count_upto(ends: np.ndarray, shift: int, n: int):
     """For each cell j < n, how many of the rising ends e have e + shift
-    <= j, in the dtype of ends: k from e[k - 1] + shift up to e[k] + shift.
-    The counts are written _BLOCK cells at a time, each block from the
+    <= j, in the dtype of ends, yielded _BLOCK cells at a time: k from
+    e[k - 1] + shift up to e[k] + shift.  Each block is written from the
     ends that fall in it, read _BLOCK at a time, so no scratch outgrows a
     block however many ends one cell takes.
     """
-    count = np.empty(n, ends.dtype)
     k = 0               # the ends below the block
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
+        count = np.empty(b - a, ends.dtype)
         j = a           # the cells below j are written
         while True:
             e = ends[k:k + _BLOCK] + shift
             inside = int(np.count_nonzero(e < b))   # the ends rise: a prefix
             if inside:
                 at = np.concatenate(([j], e[:inside]), dtype=ends.dtype)
-                count[j:at[-1]] = np.repeat(np.arange(k, k + inside, dtype=ends.dtype),
-                                            np.diff(at))
+                count[j - a:at[-1] - a] = np.repeat(np.arange(k, k + inside, dtype=ends.dtype),
+                                                    np.diff(at))
                 j, k = int(at[-1]), k + inside
             if inside < _BLOCK:
                 break
-        count[j:b] = k
-    return count
+        count[j - a:] = k
+        yield count
 
 
 def _search(lo, hi, seen: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -315,10 +329,10 @@ def _reach(g: GridGraph, lo: np.ndarray, hi: np.ndarray, stop=None):
     return lo, hi
 
 
-def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray, total: int) -> np.ndarray:
-    """Mark in seen every cell that inside marks and that reaches a cell
-    seen marks through such cells; return seen once it holds all the total
-    cells of inside.
+def _reach_back(rev, pieces, state: np.ndarray, total: int) -> np.ndarray:
+    """Mark found (2) in state every cell it marks reached (1) that reaches
+    a found cell through reached cells; return state once total cells are
+    found.
 
     The search runs breadth first over the reversed windows (`_reversed`),
     _STEP frontier cells at a time.  For a sorted block of the frontier a
@@ -328,7 +342,7 @@ def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray, total: int) -
     no cell twice: a sorted block of the next frontier.
     """
     order = [slice(None) if rising else slice(None, None, -1) for _, _, rising in pieces]
-    frontier = [np.flatnonzero(seen)]
+    frontier = [np.flatnonzero(state == 2)]
     count = len(frontier[0])
     while frontier:
         found = []
@@ -342,8 +356,8 @@ def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray, total: int) -
             for a in range(0, len(block), _STEP):
                 f = block[a:a + _STEP]
                 windows = []
-                for i, (first, last, o) in enumerate(zip(*rev, order)):
-                    lo, hi = first[f[o]], last[f[o]]
+                for i, (lap, o) in enumerate(zip(rev, order)):
+                    lo, hi = _held(lap, f[o])
                     keep = lo <= hi
                     lo, hi = lo[keep], hi[keep]
                     if len(lo) and pieces[i][2]:
@@ -355,15 +369,15 @@ def _reach_back(rev, pieces, seen: np.ndarray, inside: np.ndarray, total: int) -
                     np.maximum(lo[1:], hi[:-1] + 1, out=lo[1:])
                     windows.append((lo, hi))
                 cells = _expand(*(np.concatenate(w) for w in zip(*windows)))
-                cells = cells[inside[cells] & ~seen[cells]]
-                seen[cells] = True
+                cells = cells[state[cells] == 1]
+                state[cells] = 2
                 count += len(cells)
                 if count == total:
-                    return seen
+                    return state
                 if len(cells):
                     found.append(cells)
         frontier = found
-    return seen
+    return state
 
 
 def _cover(lo, hi):
@@ -448,7 +462,6 @@ def _trim(g: GridGraph, pieces, rev, lo, hi):
     size = int(np.sum(hi - lo + 1))
     if size <= floor:
         return lo, hi
-    first, last = rev
     starts, ends, rising = (np.array(v) for v in zip(*pieces))
     # the run set's cells on rising pieces that a later cell of their piece
     # holds (above), and whose windows hold an earlier cell (below), found
@@ -459,7 +472,7 @@ def _trim(g: GridGraph, pieces, rev, lo, hi):
             c = np.arange(a, min(a + _BLOCK, p1 + 1), dtype=lo.dtype)
             k = np.searchsorted(lo, c, side="right") - 1
             c = c[(k >= 0) & (c <= hi[np.maximum(k, 0)])]
-            above.append(c[last[i][c] > c])
+            above.append(c[_held(rev[i], c)[1] > c])
             below.append(c[g.jlo[c] < c])
     above, below = np.concatenate(above), np.concatenate(below)
     while size > floor:
@@ -470,8 +483,8 @@ def _trim(g: GridGraph, pieces, rev, lo, hi):
         up = rising[p]
         img_lo, img_hi = np.where(up, g.jlo[a], g.jlo[b]), np.where(up, g.jhi[b], g.jhi[a])
         # its preimage on each piece, its own piece's in row p
-        pre_lo = np.stack([f[a] if r else f[b] for f, r in zip(first, rising)])
-        pre_hi = np.stack([e[b] if r else e[a] for e, r in zip(last, rising)])
+        pre_lo = np.stack([f[a] if r else f[b] for (f, _), r in zip(rev, rising)])
+        pre_hi = np.stack([_held(lap, b if r else a)[1] for lap, r in zip(rev, rising)])
         img, pre = _cover(img_lo, img_hi), _cover(pre_lo.ravel(), pre_hi.ravel())
         nlo, nhi = _meet(*_meet(lo, hi, *img[0]), *pre[0])
         # a run on a rising piece is eaten from both ends: up to the first
@@ -580,28 +593,32 @@ def recurrent_cells(g: GridGraph):
     first (Fleischer, Hendrickson & Pinar 2000): the cells the pivot
     reaches on run sets (`_reach`) that reach it back, found by a search
     of the reversed windows (`_reversed`, `_reach_back`) kept to the cells
-    it reaches.  The other cells are trimmed on runs (`_trim`) until they
-    fit in a 32nd of the grid; `_components` finishes the trim cell by cell
-    and splits what is left, from those cells' reversed windows alone, so
-    the mask and the labels are made once the grid's are let go.  Every
-    search runs on the windows themselves, and no edge list is made.
+    it reaches.  A lap's reversed window of a cell is its first cell and a
+    count of cells, a byte on tent grids, where a slope above 1 keeps it at
+    3 or less at 2h; the peel holds one state byte a cell: outside, reached
+    forward, found backward.  The other cells are trimmed on runs (`_trim`)
+    until they fit in a 32nd of the grid; `_components` finishes the trim
+    cell by cell and splits what is left, from those cells' reversed
+    windows alone, so the mask and the labels are made once the grid's are
+    let go.  Every search runs on the windows themselves, and no edge list
+    is made.
     """
     n = g.n
     pieces = g._laps[0]
     pivot = int(np.argmax(g.jhi))
     lo, hi = _reach(g, *np.full((2, 1), pivot, g.jlo.dtype))
-    fwd = np.zeros(n, bool)
-    fwd[_expand(lo, hi)] = True
+    # one state a cell: outside (0), reached forward (1), found backward (2)
+    state = np.zeros(n, np.int8)
+    state[_expand(lo, hi)] = 1
+    state[pivot] = 2
     rev = _reversed(g, pieces)
-    comp = np.zeros(n, bool)
-    comp[pivot] = True
-    _reach_back(rev, pieces, comp, fwd, int(np.sum(hi - lo + 1)))
-    del fwd
+    comp = _reach_back(rev, pieces, state, int(np.sum(hi - lo + 1))) == 2
+    del state
     # the cells outside the pivot's component, trimmed on runs
     lo, hi = (c.astype(g.jlo.dtype) for c in _gaps(comp))
     lo, hi = _trim(g, pieces, rev, lo, hi)
     cells = _expand(lo, hi)
-    pre = [(f[cells], b[cells]) for f, b in zip(*rev)]
+    pre = [_held(lap, cells) for lap in rev]
     del rev
     rec = np.empty(n, bool)
     for a in range(0, n, _BLOCK):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -233,23 +234,39 @@ def renormalize(m: PiecewiseMap) -> Renormalization:
 
 @dataclass(frozen=True)
 class _Tower:
-    """The tower of T_s: its depth p, the critical orbit c_1 .. c_max(2, 2^p),
-    one point of each cascade cycle N_1 .. N_{p-1}, and the levels of
-    `LevelPartition`, whose level p holds the attractor N_p's intervals."""
+    """The tower of T_s: its depth p, one point of each cascade cycle N_1 ..
+    N_{p-1}, and, built on first read, the critical orbit c_1 .. c_max(2, 2^p)
+    and the levels of `LevelPartition`, whose level p holds the attractor
+    N_p's intervals.  The orbit doubles with each depth, so a call that
+    refuses at a cascade cycle refuses before it is built."""
 
     s: float
     m: PiecewiseMap
     depth: int
-    orbit: list
     cascade: list
-    levels: dict
+
+    @cached_property
+    def orbit(self) -> list:
+        return critical_orbit(self.m, max(2, 2 ** self.depth))
+
+    @cached_property
+    def levels(self) -> dict:
+        p = self.depth
+        prev = _cores(self.orbit, 1)
+        c2, c1 = prev[0]
+        levels = {-1: [Interval(c1, 1.0)] if c1 < 1.0 else [],
+                  0: [Interval(0.0, c2)] if c2 > 0.0 else []}
+        for k in range(1, p):
+            cur = sorted(_cores(self.orbit, 2 ** k), key=lambda iv: iv.lo)
+            levels[k] = subtract_intervals(prev, cur)
+            prev = cur
+        levels[p] = prev if p else [Interval(0.0, 1.0)]
+        return levels
 
 
 def _tower(s: float) -> _Tower:
     """The tower of T_s, every level's cores read off one critical orbit."""
     p = node_depth(s)
-    m = make_tent(s)
-    orbit = critical_orbit(m, max(2, 2 ** p))
     # N_k's point: the interior fixed point of the (k-1)-fold renormalized
     # model T_{s^(2^(k-1))}, pulled back through the inverse charts
     # y -> pi - 2 y (pi - 1/2) of T_s, T_{s^2}, ...
@@ -260,16 +277,7 @@ def _tower(s: float) -> _Tower:
             y = a / (a + 1.0) - y / ((a + 1.0) / (a - 1.0))
         cascade.append(y)
         params.append(params[-1] ** 2)
-    prev = _cores(orbit, 1)
-    c2, c1 = prev[0]
-    levels = {-1: [Interval(c1, 1.0)] if c1 < 1.0 else [],
-              0: [Interval(0.0, c2)] if c2 > 0.0 else []}
-    for k in range(1, p):
-        cur = sorted(_cores(orbit, 2 ** k), key=lambda iv: iv.lo)
-        levels[k] = subtract_intervals(prev, cur)
-        prev = cur
-    levels[p] = prev if p else [Interval(0.0, 1.0)]
-    return _Tower(s, m, p, orbit, cascade, levels)
+    return _Tower(s, make_tent(s), p, cascade)
 
 
 def _cores(orbit, r: int):

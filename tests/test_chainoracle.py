@@ -298,7 +298,8 @@ def test_analytic_sets_inside_oracle(s):
 # - _expand: it counts in the dtype of the cell numbers, which only
 #   overlapping runs past 2^31 cells would overflow;
 # - _pieces, _reversed: a lap cut too often gives the same components, only
-#   slower, so the laps and their predecessor runs are pinned here;
+#   slower, and a count wider than it needs only costs memory, so the laps,
+#   their predecessor runs and the counts' dtype are pinned here;
 # - _components: the cells the run trim leaves it are a cost, not an output;
 # - _reach_back: where the peel's backward search stops is a cost too.
 # ---------------------------------------------------------------------------
@@ -560,24 +561,37 @@ def test_any_search_step_gives_the_same_components(case, step, block):
 def test_reversed_windows_hold_the_predecessors(m, k):
     """A unimodal grid has at most two laps, and each lap's windows rise or
     fall together; its reversed window of cell j is the run of its cells
-    whose windows hold j.  Tent 1.5 at 1.6h has windows with gaps between
-    them; at 1e300 every window is the whole grid and the grid is one flat
-    piece."""
+    whose windows hold j, kept as the run's first cell and its length.
+    Tent 1.5 at 1.6h has windows with gaps between them; at 1e300 every
+    window is the whole grid and the grid is one flat piece.  The lengths
+    are in the narrowest unsigned dtype that holds the largest: a byte on
+    the tent grids, where at most 2(k - 1)/s + 2 windows hold a cell, and
+    two bytes on the flat piece, where every window holds all 1000."""
     n = 1000
     g = build_grid(m, n, k / n)
     pieces, _ = chainoracle._pieces(g)
     assert len(pieces) <= 2
     assert [p0 for p0, _, _ in pieces] == [0] + [p1 + 1 for _, p1, _ in pieces[:-1]]
     assert pieces[-1][1] == n - 1
-    first, last = chainoracle._reversed(g, pieces)
-    for (p0, p1, up), f, b in zip(pieces, first, last):
+    rev = chainoracle._reversed(g, pieces)
+    assert len(rev) == len(pieces)
+    for (p0, p1, up), (first, count) in zip(pieces, rev):
         step = np.diff(g.jlo[p0:p1 + 1]), np.diff(g.jhi[p0:p1 + 1])
         assert all(((d >= 0) if up else (d <= 0)).all() for d in step)
         want_first, want_last = reference_predecessors(g, p0, p1)
         held = want_first <= want_last
-        assert np.array_equal(f[held], want_first[held])
-        assert np.array_equal(b[held], want_last[held])
-        assert (f[~held] > b[~held]).all()
+        assert first.dtype == g.jlo.dtype
+        assert count.dtype == np.min_scalar_type(int(count.max()))
+        assert np.array_equal(first[held], want_first[held])
+        assert np.array_equal(first[held] + count[held].astype(np.int64) - 1, want_last[held])
+        assert (count[~held] == 0).all()
+    if m.label.startswith("tent") and k < 4:
+        # images of neighbouring centers lie s*h apart on a lap
+        s = m.slope_at(0.0)
+        assert all(count.dtype == np.uint8 and count.max() <= 2 * (k - 1) / s + 2
+                   for _, count in rev)
+    if k > 1e6:
+        assert rev[0][1].dtype == np.uint16 and rev[0][1].max() == n
 
 
 @settings(max_examples=40, deadline=None)
@@ -671,36 +685,37 @@ def test_trim_rounds_rescan_no_dead_level():
 
 
 @pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
-def test_recurrent_cells_peak_is_under_twenty_four_bytes_a_cell(s, traced_peak):
-    """The reversed windows, two int32 arrays on each of the two laps (16
-    bytes a cell), and two byte-a-cell masks stay through the peel; the
-    int32 labels and the recurrent mask are made only once the reversed
-    windows of the trimmed cells are gathered and the grid's are gone.
-    On top of them the peak is the peel's backward search, a level of
-    found cells and one block's windows: 5.2 bytes a cell here at s = 2,
-    2.7 at n = 1e6.  The peaks are 22.0, 22.6 and 23.2 bytes a cell at
-    s = 1.4, 1.8, 2, within 24; with the labels made before the run trim
-    and the reversed windows repeated over whole laps, the run trim set
-    the peak at s = 1.4 and 1.8, 25.2."""
+def test_recurrent_cells_peak_is_under_twenty_bytes_a_cell(s, traced_peak):
+    """The reversed windows, on each of the two laps an int32 first cell
+    and a one-byte count (10 bytes a cell), and one state byte a cell
+    stay through the peel; the int32 labels and the recurrent mask are
+    made only once the reversed windows of the trimmed cells are gathered
+    and the grid's are gone.  On top of them the peak is the peel's
+    backward search, a level of found cells and one block's windows: 5.2
+    bytes a cell here at s = 2, 2.7 at n = 1e6.  The peaks are 18.4, 17.8
+    and 17.6 bytes a cell at s = 1.4, 1.8, 2, within 20; with first and
+    last cells, two int32 arrays a lap, and two masks they were 22.0, 22.6
+    and 23.2."""
     n = 200_000
     m = make_tent(s)
     recurrent_cells(build_grid(m, 1000, 2 / 1000))
     g = build_grid(m, n, 2 / n)
-    assert traced_peak(recurrent_cells, g) < 24 * n
+    assert traced_peak(recurrent_cells, g) < 20 * n
 
 
 @pytest.mark.parametrize("s", [1.4, 1.8, 2.0])
 def test_recurrent_cells_peak_does_not_grow_with_eps(s, traced_peak):
     """At 32h the windows are 64 cells wide, and the bound is the one of
     2h: the searches expand merged hulls and cut reversed windows, so no
-    edge list is made (22.0, 22.6 and 23.4 bytes a cell).  Expanding
+    edge list is made, and at most 46 windows hold a cell, so a count
+    still takes a byte (18.4, 17.8 and 17.6 bytes a cell).  Expanding
     every window into a CSR and its reverse held about 64 edges a cell
     twice."""
     n = 200_000
     m = make_tent(s)
     recurrent_cells(build_grid(m, 1000, 32 / 1000))
     g = build_grid(m, n, 32 / n)
-    assert traced_peak(recurrent_cells, g) < 24 * n
+    assert traced_peak(recurrent_cells, g) < 20 * n
 
 
 # ---------------------------------------------------------------------------
@@ -787,16 +802,17 @@ def test_run_scan_at_any_block_groups_as_the_cell_wise_reference(case, block):
 
 
 @pytest.mark.parametrize("s", [2.0, 1.4])
-def test_chain_classes_peak_is_its_arrays_plus_21_a_cell_and_grouping_4kb(s, traced_peak):
+def test_chain_classes_peak_is_its_arrays_plus_18_a_cell_and_grouping_4kb(s, traced_peak):
     """The grid's two int32 windows and the int64 classes are kept.  The
     peak is inside recurrent_cells: its mask and labels go once they are
     scanned into runs, before the classes are written, so the grouping
     adds nothing to the grid and recurrent_cells' own peak but a few
-    Python objects.  On top of what is kept that is 19.9 bytes a cell at
-    s = 1.4 and 15.2 at s = 2, within 21; grouping cell by cell (an int64
-    flatnonzero, an argsort, f at every member) held 23.1 and 16.1, and
-    sorting the labels with np.unique and keeping every gluing pair held
-    about 77 at s = 2."""
+    Python objects.  On top of what is kept that is 16.3 bytes a cell at
+    s = 1.4 and 9.6 at s = 2, within 18; with the reversed windows as
+    first and last cells it was 19.9 and 15.2, grouping cell by cell (an
+    int64 flatnonzero, an argsort, f at every member) held 23.1 and 16.1,
+    and sorting the labels with np.unique and keeping every gluing pair
+    held about 77 at s = 2."""
     n = 200_000
     m = make_tent(s)
     chain_classes(m, 1000)
@@ -806,7 +822,7 @@ def test_chain_classes_peak_is_its_arrays_plus_21_a_cell_and_grouping_4kb(s, tra
     g = build_grid(m, n, 2 / n)
     own = traced_peak(recurrent_cells, g)
     peak = traced_peak(chain_classes, m, n)
-    assert peak < kept + 21 * n
+    assert peak < kept + 18 * n
     assert peak < g.jlo.nbytes + g.jhi.nbytes + own + 4096
 
 

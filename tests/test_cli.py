@@ -545,6 +545,28 @@ def test_installed_entry_point():
     assert "tent:2.0" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [["nodes", "--s", "1.00000001"],
+                                  ["verify", "--s", "1.00000001", "--n", "2000"]],
+                         ids=["nodes", "verify"])
+def test_refusal_near_one_comes_before_the_critical_orbit(argv):
+    """At s = 1 + 1e-8 the tower has depth 27, and its period-2 cascade
+    cycle lies below float64 resolution.  The refusal names that depth
+    before the critical orbit of 2^27 points (about 17 GB as a list) is
+    built: each child caps its own address space at 1 GiB, which building
+    the orbit first broke with a MemoryError."""
+    src = str(Path(unimodal.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from unimodal.cli import main\n"
+            f"sys.exit(main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "tower depth 27" in proc.stderr
+
+
 def _main_exits_0(argv):
     return f"from unimodal.cli import main\nassert main({argv!r}) == 0"
 
